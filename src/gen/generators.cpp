@@ -23,39 +23,32 @@ Graph erdos_renyi_gnp(std::size_t n, double p, Rng& rng) {
   if (p >= 1.0) return complete_graph(n);
 
   // Iterate potential edges in lexicographic order, skipping geometrically.
+  // Linear index k (0-based) of pair (u, v) lies in row u, which holds the
+  // n - 1 - u pairs (u, u+1..n-1) at [row_begin, row_end). k only grows, so
+  // the row is found by walking forward; the edges come out in ascending
+  // (u, v) order, which the builder takes without sorting.
   const double log_q = std::log1p(-p);
-  std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  const double expected = p * static_cast<double>(total);
+  builder.reserve(static_cast<std::size_t>(std::min(
+      static_cast<double>(total), expected + 6.0 * std::sqrt(expected) + 64)));
   std::uint64_t idx = 0;
+  std::uint64_t u = 0;
+  std::uint64_t row_begin = 0;
+  std::uint64_t row_end = n - 1;
   while (true) {
     const double r = rng.next_double();
     // Geometric skip: number of non-edges before the next edge.
     const double skip = std::floor(std::log(1.0 - r) / log_q);
     idx += static_cast<std::uint64_t>(std::min(skip, 1e18)) + 1;
     if (idx > total) break;
-    // Convert linear index (1-based) to (u, v).
     const std::uint64_t k = idx - 1;
-    // Row u satisfies: offset(u) <= k < offset(u+1), offset(u) = u*n - u(u+3)/2... use direct solve:
-    // Edges from vertex u: (u, u+1..n-1), count n-1-u. Cumulative C(u) = u*n - u - u(u-1)/2.
-    std::uint64_t u = 0;
-    {
-      // Binary search for u.
-      std::uint64_t lo = 0;
-      std::uint64_t hi = n - 1;
-      const auto cum = [&](std::uint64_t uu) {
-        return uu * (n - 1) - uu * (uu - 1) / 2;
-      };
-      while (lo < hi) {
-        const std::uint64_t mid = (lo + hi + 1) / 2;
-        if (cum(mid) <= k) {
-          lo = mid;
-        } else {
-          hi = mid - 1;
-        }
-      }
-      u = lo;
+    while (k >= row_end) {
+      ++u;
+      row_begin = row_end;
+      row_end += n - 1 - u;
     }
-    const std::uint64_t base = u * (n - 1) - u * (u - 1) / 2;
-    const std::uint64_t v = u + 1 + (k - base);
+    const std::uint64_t v = u + 1 + (k - row_begin);
     builder.add_edge(static_cast<VertexId>(u), static_cast<VertexId>(v));
   }
   return builder.build();
@@ -180,6 +173,7 @@ Graph rmat(std::size_t scale, std::size_t edges, double a, double b, double c,
   GraphBuilder builder(n);
   const double d = 1.0 - a - b - c;
   if (d < -1e-9) throw std::invalid_argument("rmat: a+b+c must be <= 1");
+  builder.reserve(edges);
   for (std::size_t e = 0; e < edges; ++e) {
     std::uint64_t u = 0;
     std::uint64_t v = 0;

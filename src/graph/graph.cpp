@@ -44,27 +44,52 @@ void GraphBuilder::add_edge(VertexId u, VertexId v) {
   pending_.push_back(Edge{u, v});
 }
 
+namespace {
+
+/// One stable counting-sort pass: scatters `in` into `out` ordered by
+/// key(e) < n, keeping the input order among equal keys. `start` is a
+/// work array of n + 1 entries.
+template <typename Key>
+void counting_pass(const std::vector<Edge>& in, std::vector<Edge>& out,
+                   std::vector<std::size_t>& start, Key key) {
+  std::fill(start.begin(), start.end(), 0);
+  // size_t before the + 1: a 32-bit key of 2^32 - 1 would wrap to 0.
+  for (const Edge& e : in) ++start[std::size_t{key(e)} + 1];
+  for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+  out.resize(in.size());
+  for (const Edge& e : in) out[start[key(e)]++] = e;
+}
+
+}  // namespace
+
 Graph GraphBuilder::build() {
-  std::sort(pending_.begin(), pending_.end(),
-            [](const Edge& a, const Edge& b) {
-              return a.u < b.u || (a.u == b.u && a.v < b.v);
-            });
-  pending_.erase(std::unique(pending_.begin(), pending_.end()),
-                 pending_.end());
+  const bool strictly_ascending =
+      std::adjacent_find(pending_.begin(), pending_.end(),
+                         [](const Edge& a, const Edge& b) {
+                           return a.u > b.u || (a.u == b.u && a.v >= b.v);
+                         }) == pending_.end();
+  if (!strictly_ascending) {
+    // LSD radix order: by v, then stably by u.
+    std::vector<std::size_t> start(num_vertices_ + 1);
+    std::vector<Edge> by_v;
+    counting_pass(pending_, by_v, start, [](const Edge& e) { return e.v; });
+    counting_pass(by_v, pending_, start, [](const Edge& e) { return e.u; });
+    pending_.erase(std::unique(pending_.begin(), pending_.end()),
+                   pending_.end());
+  }
 
   Graph g;
   g.num_vertices_ = num_vertices_;
   g.edges_ = std::move(pending_);
   pending_ = {};
 
-  std::vector<std::size_t> deg(num_vertices_ + 1, 0);
-  for (const Edge& e : g.edges_) {
-    ++deg[e.u];
-    ++deg[e.v];
-  }
   g.offsets_.assign(num_vertices_ + 1, 0);
-  for (std::size_t v = 0; v < num_vertices_; ++v) {
-    g.offsets_[v + 1] = g.offsets_[v] + deg[v];
+  for (const Edge& e : g.edges_) {
+    ++g.offsets_[std::size_t{e.u} + 1];
+    ++g.offsets_[std::size_t{e.v} + 1];
+  }
+  for (std::size_t v = 1; v <= num_vertices_; ++v) {
+    g.offsets_[v] += g.offsets_[v - 1];
   }
   g.arcs_.resize(2 * g.edges_.size());
   std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
@@ -72,14 +97,6 @@ Graph GraphBuilder::build() {
     const Edge& ed = g.edges_[e];
     g.arcs_[cursor[ed.u]++] = Arc{ed.v, e};
     g.arcs_[cursor[ed.v]++] = Arc{ed.u, e};
-  }
-  // Adjacency of each vertex is already sorted by neighbor because edges_
-  // were sorted lexicographically and arcs appended in order for the first
-  // endpoint; the second-endpoint arcs interleave, so sort per vertex.
-  for (std::size_t v = 0; v < num_vertices_; ++v) {
-    std::sort(g.arcs_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.arcs_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]),
-              [](const Arc& a, const Arc& b) { return a.to < b.to; });
   }
   return g;
 }

@@ -93,11 +93,22 @@ class GraphBuilder {
   /// u, v < num_vertices.
   void add_edge(VertexId u, VertexId v);
 
+  /// Reserves room for `edges` add_edge calls (a capacity hint; adding
+  /// more still works).
+  void reserve(std::size_t edges) { pending_.reserve(edges); }
+
   [[nodiscard]] std::size_t num_vertices() const noexcept { return num_vertices_; }
   [[nodiscard]] std::size_t pending_edges() const noexcept { return pending_.size(); }
 
-  /// Builds the graph. The builder may be reused afterwards (it is left
-  /// empty).
+  /// Builds the graph. Edges added in strictly ascending canonical (u, v)
+  /// order — what the G(n, p) generator and induced_subgraph emit — are
+  /// taken as they are, in O(n + m); any other order is put into that
+  /// order by a two-pass counting sort and deduplicated, also O(n + m).
+  /// Arcs are then filled in edge-id order, which leaves every adjacency
+  /// ascending by neighbor without a sort: a vertex's lower neighbors
+  /// arrive first (their edges precede its own row), in ascending order,
+  /// then its row's upper neighbors. The builder may be reused afterwards
+  /// (it is left empty).
   [[nodiscard]] Graph build();
 
  private:

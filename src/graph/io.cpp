@@ -2,12 +2,17 @@
 
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace mpcg {
 
 namespace {
+
+/// Vertex ids are 32-bit, so a graph has at most 2^32 vertices.
+constexpr std::size_t kMaxVertices =
+    std::size_t{std::numeric_limits<VertexId>::max()} + 1;
 
 std::string next_content_line(std::istream& in) {
   std::string line;
@@ -30,6 +35,11 @@ LoadedGraph read_edge_list(std::istream& in) {
   if (!(head >> n >> m)) {
     throw std::runtime_error("read_edge_list: bad header (want 'n m')");
   }
+  if (n > kMaxVertices) {
+    throw std::runtime_error(
+        "read_edge_list: n exceeds the 32-bit vertex id range (at most "
+        "2^32 vertices)");
+  }
   GraphBuilder builder(n);
   // Weights keyed by canonical endpoints; remapped to edge ids post-build
   // (the builder sorts and dedupes).
@@ -50,8 +60,17 @@ LoadedGraph read_edge_list(std::istream& in) {
     if (u >= n || v >= n) {
       throw std::runtime_error("read_edge_list: endpoint out of range");
     }
+    // Anything after the endpoints must be exactly one weight.
     double w = 0.0;
-    if (row >> w) {
+    const bool has_weight = !(row >> std::ws).eof();
+    if (has_weight && !(row >> w)) {
+      throw std::runtime_error("read_edge_list: bad weight: " + line);
+    }
+    if (!(row >> std::ws).eof()) {
+      throw std::runtime_error("read_edge_list: extra tokens in edge line: " +
+                               line);
+    }
+    if (has_weight) {
       any_weight = true;
       Edge e{static_cast<VertexId>(u), static_cast<VertexId>(v)};
       if (e.u > e.v) std::swap(e.u, e.v);

@@ -25,7 +25,8 @@ struct LoadedGraph {
 };
 
 /// Parses the format above. Throws std::runtime_error on malformed input
-/// (bad counts, out-of-range endpoints).
+/// (bad counts, n beyond the 2^32 vertex ids, out-of-range endpoints, rows
+/// other than `u v` or `u v w`).
 [[nodiscard]] LoadedGraph read_edge_list(std::istream& in);
 [[nodiscard]] LoadedGraph read_edge_list_file(const std::string& path);
 

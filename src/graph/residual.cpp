@@ -9,18 +9,12 @@ namespace mpcg {
 ResidualGraph::ResidualGraph(const Graph& g)
     : g_(&g), alive_(g.num_vertices(), 1), dirty_(g.num_vertices(), 0),
       degree_(g.num_vertices(), 0), alive_edges_(g.num_edges()),
-      alive_count_(g.num_vertices()) {
+      alive_count_(g.num_vertices()), start_(g.num_vertices()),
+      live_end_(g.num_vertices(), kLazy) {
   const std::size_t n = g.num_vertices();
-  offsets_.resize(n + 1);
-  live_end_.assign(n, kLazy);
-  std::size_t cursor = 0;
   for (VertexId v = 0; v < n; ++v) {
-    offsets_[v] = cursor;
-    const std::size_t d = g.degree(v);
-    degree_[v] = static_cast<std::uint32_t>(d);
-    cursor += d;
+    degree_[v] = static_cast<std::uint32_t>(g.degree(v));
   }
-  offsets_[n] = cursor;
 
   vertex_list_.resize(n);
   for (VertexId v = 0; v < n; ++v) vertex_list_[v] = v;
@@ -33,19 +27,11 @@ ResidualGraph::ResidualGraph(const Graph& g)
 
 ResidualGraph::ResidualGraph(const Graph& g, const std::vector<char>& alive)
     : g_(&g), alive_(g.num_vertices(), 1), dirty_(g.num_vertices(), 0),
-      degree_(g.num_vertices(), 0) {
+      degree_(g.num_vertices(), 0), start_(g.num_vertices()),
+      live_end_(g.num_vertices(), kLazy) {
   const std::size_t n = g.num_vertices();
   const std::size_t given = std::min(alive.size(), n);
   for (std::size_t v = 0; v < given; ++v) alive_[v] = alive[v] ? 1 : 0;
-
-  offsets_.resize(n + 1);
-  live_end_.assign(n, kLazy);
-  std::size_t cursor = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    offsets_[v] = cursor;
-    cursor += g.degree(v);
-  }
-  offsets_[n] = cursor;
 
   vertex_list_.reserve(n);
   for (VertexId v = 0; v < n; ++v) {
@@ -59,15 +45,8 @@ ResidualGraph::ResidualGraph(const Graph& g, const std::vector<char>& alive)
         all_alive = false;
       }
     }
-    if (!all_alive) {
-      // Materialize the filtered segment now; the scan was paid anyway.
-      ensure_arc_buffer();
-      std::size_t write = offsets_[v];
-      for (const Arc& a : g.arcs(v)) {
-        if (alive_[a.to]) arcs_[write++] = a;
-      }
-      live_end_[v] = write;
-    }
+    // Materialize the filtered segment now; the scan was paid anyway.
+    if (!all_alive) materialize_segment(v);
     degree_[v] = static_cast<std::uint32_t>(live);
     vertex_list_.push_back(v);
     alive_edges_ += live;
@@ -85,7 +64,7 @@ ResidualGraph::ResidualGraph(const ResidualGraph& other)
     : g_(other.g_), alive_(other.alive_), dirty_(other.dirty_),
       degree_(other.degree_),
       alive_edges_(other.alive_edges_), alive_count_(other.alive_count_),
-      offsets_(other.offsets_), live_end_(other.live_end_),
+      start_(other.start_.size()), live_end_(other.live_end_),
       vertex_list_(other.vertex_list_),
       vertex_list_end_(other.vertex_list_end_), hist_(other.hist_),
       max_degree_bound_(other.max_degree_bound_) {
@@ -97,13 +76,18 @@ ResidualGraph::ResidualGraph(const ResidualGraph& other)
   }
   if (other.arcs_ != nullptr) {
     // Copy only the materialized segments of alive vertices — dead and
-    // lazy vertices contribute nothing.
+    // lazy vertices contribute nothing — packed back to back in ascending
+    // vertex order.
     ensure_arc_buffer();
     for (std::size_t i = 0; i < vertex_list_end_; ++i) {
       const VertexId v = vertex_list_[i];
       if (!alive_[v] || live_end_[v] == kLazy) continue;
-      std::copy(other.arcs_.get() + offsets_[v],
-                other.arcs_.get() + live_end_[v], arcs_.get() + offsets_[v]);
+      const std::size_t len = other.live_end_[v] - other.start_[v];
+      std::copy_n(other.arcs_.get() + other.start_[v], len,
+                  arcs_.get() + arena_end_);
+      start_[v] = arena_end_;
+      arena_end_ += len;
+      live_end_[v] = arena_end_;
     }
   }
 }
@@ -114,9 +98,10 @@ ResidualGraph& ResidualGraph::operator=(const ResidualGraph& other) {
 }
 
 void ResidualGraph::ensure_arc_buffer() {
-  if (arcs_ == nullptr && offsets_.back() > 0) {
-    arcs_ = std::make_unique_for_overwrite<Arc[]>(offsets_.back());
-    advise_huge_pages(arcs_.get(), offsets_.back() * sizeof(Arc));
+  const std::size_t capacity = 2 * g_->num_edges();
+  if (arcs_ == nullptr && capacity > 0) {
+    arcs_ = std::make_unique_for_overwrite<Arc[]>(capacity);
+    advise_huge_pages(arcs_.get(), capacity * sizeof(Arc));
   }
 }
 
@@ -128,20 +113,22 @@ std::size_t ResidualGraph::max_alive_degree() noexcept {
   return max_degree_bound_;
 }
 
-std::span<const Arc> ResidualGraph::materialize_segment(
-    VertexId v, std::span<const Arc> full) {
+std::span<const Arc> ResidualGraph::materialize_segment(VertexId v) {
   ensure_arc_buffer();
-  std::size_t write = offsets_[v];
-  for (const Arc& a : full) {
+  const std::size_t begin = arena_end_;
+  std::size_t write = begin;
+  for (const Arc& a : g_->arcs(v)) {
     if (alive_[a.to]) arcs_[write++] = a;
   }
+  start_[v] = begin;
   live_end_[v] = write;
+  arena_end_ = write;
   dirty_[v] = 0;
-  return {arcs_.get() + offsets_[v], arcs_.get() + write};
+  return {arcs_.get() + begin, arcs_.get() + write};
 }
 
 std::span<const Arc> ResidualGraph::compact_segment(VertexId v) {
-  const std::size_t begin = offsets_[v];
+  const std::size_t begin = start_[v];
   const std::size_t end = live_end_[v];
   std::size_t read = begin;
   while (read < end && alive_[arcs_[read].to]) ++read;
@@ -216,26 +203,18 @@ void ResidualGraph::kill_batch(std::span<const VertexId> dead) {
     vertex_list_[write++] = v;
     std::size_t live = 0;
     if (live_end_[v] == kLazy) {
-      const auto full = g_->arcs(v);
       bool all_alive = true;
-      for (const Arc& a : full) {
+      for (const Arc& a : g_->arcs(v)) {
         if (alive_[a.to]) {
           ++live;
         } else {
           all_alive = false;
         }
       }
-      if (!all_alive) {
-        ensure_arc_buffer();
-        std::size_t arc_write = offsets_[v];
-        for (const Arc& a : full) {
-          if (alive_[a.to]) arcs_[arc_write++] = a;
-        }
-        live_end_[v] = arc_write;
-      }
+      if (!all_alive) materialize_segment(v);
       dirty_[v] = 0;
     } else {
-      const std::size_t begin = offsets_[v];
+      const std::size_t begin = start_[v];
       std::size_t arc_write = begin;
       for (std::size_t arc_read = begin; arc_read < live_end_[v];
            ++arc_read) {

@@ -19,10 +19,12 @@
 //
 // Construction is O(n): adjacency is served directly from the wrapped
 // graph's storage until a vertex loses its first neighbor, and only then
-// is that vertex's segment materialized (alive entries copied into the
-// residual's own buffer, which is allocated address-space-only and touched
-// per segment). A residual graph over a huge input whose kills touch a
-// small region never copies the rest.
+// is that vertex's segment materialized: its alive entries are appended to
+// the residual's own arc arena, in materialization order. The arena is
+// allocated address-space-only and filled from its start, so resident
+// memory is proportional to the arcs actually copied. A residual graph
+// over a huge input whose kills touch a small region never copies the
+// rest.
 //
 // Compaction is *stable*: alive_arcs(v) preserves the ascending neighbor
 // order of graph().arcs(v) and alive_vertices() preserves ascending vertex
@@ -51,8 +53,9 @@ class ResidualGraph {
   ResidualGraph(const Graph& g, const std::vector<char>& alive);
 
   /// Copying snapshots the current residual state (only materialized
-  /// segments of alive vertices are copied, no graph rescans) — how
-  /// drivers hand a consistent view to sub-algorithms.
+  /// segments of alive vertices are copied, packed contiguously at the
+  /// start of the copy's arena, no graph rescans) — how drivers hand a
+  /// consistent view to sub-algorithms.
   ResidualGraph(const ResidualGraph& other);
   ResidualGraph& operator=(const ResidualGraph& other);
   ResidualGraph(ResidualGraph&&) = default;
@@ -99,10 +102,10 @@ class ResidualGraph {
     if (live_end_[v] == kLazy) {
       const auto full = g_->arcs(v);
       if (degree_[v] == full.size()) return full;  // nothing ever died
-      return materialize_segment(v, full);
+      return materialize_segment(v);
     }
     if (!dirty_[v] && alive_[v]) {
-      return {arcs_.get() + offsets_[v], arcs_.get() + live_end_[v]};
+      return {arcs_.get() + start_[v], arcs_.get() + live_end_[v]};
     }
     return compact_segment(v);
   }
@@ -150,14 +153,14 @@ class ResidualGraph {
   void hist_remove(std::size_t degree) noexcept { --hist_[degree]; }
   void hist_add(std::size_t degree) noexcept { ++hist_[degree]; }
 
-  /// Ensures arcs_ is allocated (address space only; pages are touched as
-  /// segments materialize).
+  /// Ensures arcs_ is allocated: 2m arcs of address space, whose pages
+  /// are touched only as segments are appended.
   void ensure_arc_buffer();
 
-  /// Slow paths of alive_arcs: first filtering of a lazy vertex, and
-  /// re-compaction of a dirty segment.
-  std::span<const Arc> materialize_segment(VertexId v,
-                                           std::span<const Arc> full);
+  /// Slow paths of alive_arcs: first filtering of a lazy vertex (appends
+  /// its alive arcs at the arena cursor), and re-compaction of a dirty
+  /// segment in place.
+  std::span<const Arc> materialize_segment(VertexId v);
   std::span<const Arc> compact_segment(VertexId v);
 
   const Graph* g_;
@@ -170,12 +173,17 @@ class ResidualGraph {
   std::size_t alive_count_ = 0;
 
   // Mutable adjacency segments, materialized per vertex on first
-  // filtering: arcs of v live in arcs_[offsets_[v], live_end_[v]) once
+  // filtering: arcs of v live in arcs_[start_[v], live_end_[v]) once
   // live_end_[v] != kLazy; until then they are read from graph().arcs(v)
   // (valid exactly while residual_degree(v) equals the full degree).
+  // Segments are bump-allocated at arena_end_. A vertex materializes at
+  // most once per object and never copies more arcs than its full degree,
+  // so the cursor stays within the 2m arcs allocated; the buffer never
+  // moves, so spans into it stay valid as documented above.
   std::unique_ptr<Arc[]> arcs_;
-  std::vector<std::size_t> offsets_;
+  std::vector<std::size_t> start_;
   std::vector<std::size_t> live_end_;
+  std::size_t arena_end_ = 0;
 
   // Lazily compacted alive-vertex list (ascending id).
   std::vector<VertexId> vertex_list_;

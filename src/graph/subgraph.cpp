@@ -27,7 +27,8 @@ InducedSubgraph induced_subgraph(const Graph& g,
   // local u < v. g is simple, so the (u, v) keys are unique; sorting the
   // triples lexicographically puts them in exactly the order GraphBuilder
   // assigns local edge ids, letting the parent ids ride along instead of
-  // being recovered by per-edge binary search afterwards.
+  // being recovered by per-edge binary search afterwards, and the builder
+  // takes them in that order without sorting again.
   struct LocalEdge {
     VertexId u, v;
     EdgeId parent;
@@ -49,6 +50,7 @@ InducedSubgraph induced_subgraph(const Graph& g,
             });
 
   GraphBuilder builder(vertices.size());
+  builder.reserve(local_edges.size());
   InducedSubgraph out;
   out.to_parent_edge.reserve(local_edges.size());
   for (const LocalEdge& e : local_edges) {

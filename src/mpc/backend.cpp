@@ -25,7 +25,12 @@ void ParallelBackend::worker_loop() {
   for (;;) {
     ++idle_;
     done_cv_.notify_all();  // quiesce() watches idle_
-    work_cv_.wait(lk, [&] { return stopping_ || generation_ != seen; });
+    // Wake only for a job still in flight. A worker signalled for a job the
+    // caller finished before it woke stays in the wait, so the idle count
+    // quiesce() reads cannot drop once run_chunks has returned.
+    work_cv_.wait(lk, [&] {
+      return stopping_ || (generation_ != seen && job_ != nullptr);
+    });
     --idle_;
     if (stopping_) return;
     seen = generation_;

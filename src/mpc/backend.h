@@ -70,8 +70,9 @@ class ExecutionBackend {
                           const ChunkFn& fn) = 0;
 
   /// Blocks until every pool worker is parked in its idle wait (no-op for
-  /// the sequential backend). The engines call this at checkpoint/stop safe
-  /// points so durable persistence and process death never race a worker.
+  /// the sequential backend); they stay parked until the next run_chunks.
+  /// The engines call this at checkpoint/stop safe points so durable
+  /// persistence and process death never race a worker.
   virtual void quiesce() {}
 
   /// Convenience for loops whose iterations are fully independent: runs

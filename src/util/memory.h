@@ -1,12 +1,15 @@
 // Allocation hints for the big lazily-touched arc buffers.
 //
-// ResidualGraph and ActiveArcs reserve address-space-sized arc buffers
+// ResidualGraph and ActiveArcs reserve address-space-only arc buffers
 // (O(total arcs)) that are touched page by page as segments materialize.
-// With 4K pages a 2^20-vertex run takes tens of thousands of first-touch
-// faults and keeps the TLB churning across the scattered per-vertex
-// segments; hinting transparent huge pages backs the same range with 2MB
-// pages — 512x fewer faults and far fewer TLB misses — while keeping the
-// lazy-touch property (nothing is populated up front).
+// ResidualGraph appends its segments from the start of its buffer, in
+// materialization order, so its resident part is the prefix it has
+// filled; ActiveArcs places each vertex's lists at the graph's offsets, so
+// its touched pages scatter over the whole range. With 4K pages a
+// 2^20-vertex run takes tens of thousands of first-touch faults and keeps
+// the TLB churning; hinting transparent huge pages backs the same range
+// with 2MB pages — 512x fewer faults and far fewer TLB misses — while
+// keeping the lazy-touch property (nothing is populated up front).
 #ifndef MPCG_UTIL_MEMORY_H
 #define MPCG_UTIL_MEMORY_H
 

@@ -61,6 +61,32 @@ TEST(GraphIo, RejectsOutOfRangeEndpoint) {
   EXPECT_THROW((void)read_edge_list(in), std::runtime_error);
 }
 
+TEST(GraphIo, RejectsVertexCountBeyondVertexIds) {
+  // 2^32 + 1 vertices: ids would need 33 bits. Rejected from the header,
+  // before anything is allocated for them.
+  std::stringstream in("4294967297 1\n0 1\n");
+  try {
+    (void)read_edge_list(in);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("2^32"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GraphIo, RejectsExtraRowTokens) {
+  for (const char* text : {"3 1\n0 1 x\n", "3 1\n0 1 7 9\n",
+                           "3 1\n0 1x\n", "3 1\n0 1 2.5 #\n"}) {
+    std::stringstream in(text);
+    EXPECT_THROW((void)read_edge_list(in), std::runtime_error) << text;
+  }
+  // Trailing whitespace (a CRLF file's \r included) is not a token.
+  std::stringstream crlf("3 2\r\n0 1 \r\n1 2\t\r\n");
+  EXPECT_EQ(read_edge_list(crlf).graph.num_edges(), 2U);
+  std::stringstream weighted("3 1\n0 1 2.5 \r\n");
+  EXPECT_TRUE(read_edge_list(weighted).weights.has_value());
+}
+
 TEST(GraphIo, RejectsMixedWeightedness) {
   std::stringstream in("3 2\n0 1 2.5\n1 2\n");
   EXPECT_THROW((void)read_edge_list(in), std::runtime_error);

@@ -148,6 +148,18 @@ TEST(ResidualGraph, SubsetConstructorMatchesKills) {
     EXPECT_EQ(by_subset.alive(v), by_kill.alive(v));
     EXPECT_EQ(by_subset.residual_degree(v), by_kill.residual_degree(v));
   }
+  BruteForce bf(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (!alive[v]) bf.kill(v);
+  }
+  check_against_brute_force(g, by_subset, bf);
+  check_against_brute_force(g, by_kill, bf);
+  // Segments materialized after construction go behind the constructor's.
+  for (VertexId v = 1; v < g.num_vertices(); v += 3) {
+    by_subset.kill(v);
+    bf.kill(v);
+  }
+  check_against_brute_force(g, by_subset, bf);
 }
 
 TEST(ResidualGraph, CopySnapshotsAreIndependent) {
@@ -164,6 +176,47 @@ TEST(ResidualGraph, CopySnapshotsAreIndependent) {
   snapshot.kill(7);
   EXPECT_TRUE(rg.alive(7));
   check_against_brute_force(g, rg, bf);
+
+  // Random-order kills and adjacency reads materialize segments out of id
+  // order; the copy packs the alive ones back to back, and later kills on
+  // either object append new segments behind the existing ones.
+  for (const char* family : {"gnp_dense", "power_law", "rmat"}) {
+    const Graph h = make_family(family, 200, 13);
+    const std::size_t n = h.num_vertices();
+    Rng rng(mix64(5, h.num_edges()));
+    std::vector<VertexId> order(n);
+    for (VertexId v = 0; v < n; ++v) order[v] = v;
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(order[i - 1], order[rng() % i]);
+    }
+    ResidualGraph source(h);
+    BruteForce source_bf(n);
+    const std::size_t half = n / 2;
+    for (std::size_t i = 0; i < half; ++i) {
+      source.kill(order[i]);
+      source_bf.kill(order[i]);
+      const auto reader = static_cast<VertexId>(rng() % n);
+      if (source.alive(reader)) (void)source.alive_arcs(reader);
+    }
+    ResidualGraph copy(source);
+    BruteForce copy_bf = source_bf;
+    check_against_brute_force(h, copy, copy_bf);
+    check_against_brute_force(h, source, source_bf);
+    // The source keeps the kill order, the copy runs it backwards.
+    for (std::size_t i = half; i < n; ++i) {
+      source.kill(order[i]);
+      source_bf.kill(order[i]);
+      const VertexId v = order[n - 1 - (i - half)];
+      copy.kill(v);
+      copy_bf.kill(v);
+      if (i % 16 == 0 || i + 4 >= n) {
+        check_against_brute_force(h, source, source_bf);
+        check_against_brute_force(h, copy, copy_bf);
+      }
+    }
+    EXPECT_EQ(source.alive_count(), 0U) << family;
+    EXPECT_EQ(copy.alive_count(), 0U) << family;
+  }
 }
 
 TEST(ResidualGraph, UpperArcsAreCanonicalSuffix) {
