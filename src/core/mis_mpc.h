@@ -12,7 +12,11 @@
 // onto one machine.
 //
 // All communication is charged through mpc::Engine; the result carries the
-// engine metrics plus the per-phase loads the memory experiments need.
+// engine metrics plus the per-phase loads the memory experiments need. The
+// schedule, the leader's greedy, the sparsified stage and the checkpoint
+// providers are the shared driver's (core/mis_driver.h), which mis_cclique
+// runs too; core/mis_mpc.cpp supplies only the MPC transport (homes,
+// gathers to machine 0, broadcasts and all-reduces).
 //
 // Determinism: the run is a pure function of (graph, options.seed); with
 // `use_sparsified_stage = false` the output is *exactly* the sequential
@@ -21,87 +25,22 @@
 #ifndef MPCG_CORE_MIS_MPC_H
 #define MPCG_CORE_MIS_MPC_H
 
-#include <cstdint>
-#include <vector>
-
-#include "graph/graph.h"
+#include "core/mis_common.h"
 #include "mpc/engine.h"
-
-namespace mpcg::fault {
-class FaultPlan;
-}  // namespace mpcg::fault
 
 namespace mpcg {
 
-struct MisMpcOptions {
-  std::uint64_t seed = 1;
-
-  /// Rank-schedule exponent; the paper fixes alpha = 3/4.
-  double alpha = 0.75;
-
-  /// Switch to the sparsified stage once the residual max degree is at most
-  /// this. Stands in for the paper's log^10 n, which exceeds n at
-  /// laptop scale (see DESIGN.md).
-  std::size_t degree_switch = 16;
-
-  /// If false, rank phases (plus the rank-ordered final gather) run the
-  /// greedy process to completion — the exact sequential-greedy simulation.
-  bool use_sparsified_stage = true;
-
+/// The MPC model adds the cluster's shape to the shared options.
+struct MisMpcOptions : MisCommonOptions {
   /// Words of memory per machine, S. 0 = auto: 8n.
   std::size_t words_per_machine = 0;
 
   /// Number of machines, m. 0 = auto: enough that adjacency shards fit
   /// comfortably (about 4m_edges / S), at least 2.
   std::size_t num_machines = 0;
-
-  /// Gather the whole residual graph onto the leader once its edge count is
-  /// at most this. 0 = auto: S / 2.
-  std::size_t gather_budget = 0;
-
-  /// Throw CapacityError on budget violations (else count them).
-  bool strict = true;
-
-  /// Execution-backend width (see mpc::Config::threads): 1 = the
-  /// sequential reference; > 1 runs the engine flushes and the rank/
-  /// sparsified/final gather staging loops over a shared-memory pool,
-  /// bit-identical to 1.
-  std::size_t threads = 1;
-
-  /// Deterministic fault schedule consulted by the engine at round
-  /// boundaries (borrowed; must outlive the run). nullptr = fault-free.
-  const fault::FaultPlan* fault_plan = nullptr;
-  /// With a plan attached: recover crashes/drops by rolling back to the
-  /// round checkpoint and replaying (outputs stay bit-identical to the
-  /// fault-free run); false lets crashed machines go dark instead.
-  bool fault_recovery = true;
-  /// Per-sender stream checksums + detect->retransmit for injected payload
-  /// corruption (see mpc::Config::integrity).
-  bool integrity = false;
-  /// Per-round conservation-invariant audit (see mpc::Config::audit).
-  bool audit = false;
-  /// Proactive durable-store scrub every `scrub_interval` rounds (0 =
-  /// never; requires integrity — see mpc::Config::scrub_interval).
-  std::size_t scrub_interval = 0;
-  /// On-disk checkpoint persistence and resume (see fault/durable.h and
-  /// mpc::Config::checkpoint_dir). Off while `durable.dir` is empty.
-  fault::DurableOptions durable;
 };
 
-struct MisMpcResult {
-  std::vector<VertexId> mis;
-
-  /// Rank phases executed (the O(log log Delta) driver).
-  std::size_t rank_phases = 0;
-  /// Iterations of the sparsified local-MIS stage.
-  std::size_t sparsified_iterations = 0;
-  /// Residual edges gathered by the final single-machine step.
-  std::size_t final_gather_edges = 0;
-
-  /// Window-induced edge count gathered in each rank phase (Lemma 3.1 /
-  /// Eq. (1) say O(n) each).
-  std::vector<std::size_t> window_edges_per_phase;
-
+struct MisMpcResult : MisCommonResult {
   /// Engine metrics: rounds, peak per-round words, peak storage.
   mpc::Metrics metrics;
 

@@ -10,9 +10,9 @@ namespace mpcg {
 
 namespace {
 
-/// Vertex ids are 32-bit, so a graph has at most 2^32 vertices.
-constexpr std::size_t kMaxVertices =
-    std::size_t{std::numeric_limits<VertexId>::max()} + 1;
+/// Vertex ids are 32-bit and the all-ones id is the kAbsent/kUnmatched
+/// sentinel, so a graph has at most 2^32 - 1 vertices (ids 0 .. 2^32 - 2).
+constexpr std::size_t kMaxVertices = std::numeric_limits<VertexId>::max();
 
 std::string next_content_line(std::istream& in) {
   std::string line;
@@ -38,7 +38,7 @@ LoadedGraph read_edge_list(std::istream& in) {
   if (n > kMaxVertices) {
     throw std::runtime_error(
         "read_edge_list: n exceeds the 32-bit vertex id range (at most "
-        "2^32 vertices)");
+        "2^32 - 1 vertices)");
   }
   GraphBuilder builder(n);
   // Weights keyed by canonical endpoints; remapped to edge ids post-build

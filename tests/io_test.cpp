@@ -62,15 +62,19 @@ TEST(GraphIo, RejectsOutOfRangeEndpoint) {
 }
 
 TEST(GraphIo, RejectsVertexCountBeyondVertexIds) {
-  // 2^32 + 1 vertices: ids would need 33 bits. Rejected from the header,
-  // before anything is allocated for them.
-  std::stringstream in("4294967297 1\n0 1\n");
-  try {
-    (void)read_edge_list(in);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("2^32"), std::string::npos)
-        << e.what();
+  // 2^32 + 1 vertices would need 33-bit ids; 2^32 would need id 2^32 - 1,
+  // the kAbsent/kUnmatched sentinel, and loops bounded by a 32-bit id
+  // would never reach n. Both are rejected from the header, before
+  // anything is allocated for them.
+  for (const char* text : {"4294967297 1\n0 1\n", "4294967296 1\n0 1\n"}) {
+    std::stringstream in(text);
+    try {
+      (void)read_edge_list(in);
+      FAIL() << "expected std::runtime_error for " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("2^32"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -150,6 +150,8 @@ TEST(MisCclique, MatchesMpcDecisionForDecision) {
     EXPECT_EQ(mr.mis, cr.mis) << family;
     EXPECT_EQ(mr.rank_phases, cr.rank_phases) << family;
     EXPECT_EQ(mr.sparsified_iterations, cr.sparsified_iterations) << family;
+    EXPECT_EQ(mr.window_edges_per_phase, cr.window_edges_per_phase) << family;
+    EXPECT_EQ(mr.final_gather_edges, cr.final_gather_edges) << family;
   }
 }
 

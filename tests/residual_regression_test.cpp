@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/matching_mpc.h"
+#include "core/mis_cclique.h"
 #include "core/mis_mpc.h"
 #include "gen/families.h"
 
@@ -77,6 +78,57 @@ TEST(ResidualRegression, MisExactModeUnchanged) {
   EXPECT_EQ(r.metrics.peak_storage_words, 5624U);
   EXPECT_EQ(r.metrics.violations, 0U);
   EXPECT_EQ(r.metrics.total_words, 2969U);
+}
+
+// The CONGESTED-CLIQUE driver on the MPC rows' graphs and options: the
+// same decisions (the MIS hashes are the MPC rows' own) and pinned clique
+// Metrics, so moving either model's transport cannot shift the other.
+TEST(ResidualRegression, MisCcliqueAllStagesUnchanged) {
+  const Graph g = graph_family("gnp_sparse", 1200, 5);
+  ASSERT_EQ(g.num_edges(), 3578U);
+  MisCcliqueOptions opt;
+  opt.seed = 42;
+  opt.gather_budget = 60;
+  opt.degree_switch = 12;
+  const auto r = mis_cclique(g, opt);
+
+  EXPECT_EQ(r.mis.size(), 414U);
+  EXPECT_EQ(fnv1a(r.mis.data(), r.mis.size() * sizeof(VertexId)),
+            12023237254008437413ULL);
+  EXPECT_EQ(r.rank_phases, 1U);
+  EXPECT_EQ(r.sparsified_iterations, 5U);
+  EXPECT_EQ(r.final_gather_edges, 22U);
+
+  EXPECT_EQ(r.metrics.rounds, 37U);
+  EXPECT_EQ(r.metrics.total_words, 11592260U);
+  EXPECT_EQ(r.metrics.lenzen_batches, 2U);
+  EXPECT_EQ(r.metrics.max_player_sent, 1199U);
+  EXPECT_EQ(r.metrics.max_player_received, 67U);
+  EXPECT_EQ(r.metrics.violations, 0U);
+}
+
+TEST(ResidualRegression, MisCcliqueExactModeUnchanged) {
+  const Graph g = graph_family("power_law", 900, 11);
+  ASSERT_EQ(g.num_edges(), 3552U);
+  MisCcliqueOptions opt;
+  opt.seed = 7;
+  opt.use_sparsified_stage = false;
+  opt.gather_budget = 300;
+  const auto r = mis_cclique(g, opt);
+
+  EXPECT_EQ(r.mis.size(), 384U);
+  EXPECT_EQ(fnv1a(r.mis.data(), r.mis.size() * sizeof(VertexId)),
+            11790637052838931498ULL);
+  EXPECT_EQ(r.rank_phases, 4U);
+  EXPECT_EQ(r.sparsified_iterations, 0U);
+  EXPECT_EQ(r.final_gather_edges, 272U);
+
+  EXPECT_EQ(r.metrics.rounds, 32U);
+  EXPECT_EQ(r.metrics.total_words, 4837576U);
+  EXPECT_EQ(r.metrics.lenzen_batches, 5U);
+  EXPECT_EQ(r.metrics.max_player_sent, 899U);
+  EXPECT_EQ(r.metrics.max_player_received, 272U);
+  EXPECT_EQ(r.metrics.violations, 0U);
 }
 
 TEST(ResidualRegression, MatchingUnchangedIncludingFloatingPoint) {
