@@ -22,21 +22,14 @@
 #define MPCG_CCLIQUE_ENGINE_H
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "fault/durable.h"
+#include "fault/round_harness.h"
 #include "mpc/backend.h"
 #include "util/fnv.h"
-
-namespace mpcg::fault {
-class FaultPlan;
-class CheckpointRegistry;
-struct FaultEvent;
-}  // namespace mpcg::fault
 
 namespace mpcg::cclique {
 
@@ -49,14 +42,9 @@ class CongestionError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// A detected payload corruption could not be repaired (the retransmit
-/// budget was exhausted and checkpoint recovery is off).  Mirrors
-/// mpc::IntegrityError.
-class IntegrityError : public std::runtime_error {
- public:
-  explicit IntegrityError(const std::string& what)
-      : std::runtime_error(what) {}
-};
+/// A detected payload or broadcast-store corruption could not be repaired
+/// (see fault::IntegrityError).
+using IntegrityError = fault::IntegrityError;
 
 /// The runtime audit found a conservation violation: point-to-point or
 /// broadcast words that vanished or appeared between staging and delivery,
@@ -178,7 +166,9 @@ class RouteView {
   std::size_t words_ = 0;
 };
 
-struct Metrics {
+/// The logical counters; the fault and durability overhead counters (and
+/// their layout on disk) come from fault::FaultMetrics.
+struct Metrics : fault::FaultMetrics {
   std::size_t rounds = 0;
   /// Peak point-to-point words sent by one player in one round (excluding
   /// broadcasts, which cost one word per recipient by definition).
@@ -188,44 +178,9 @@ struct Metrics {
   std::size_t total_words = 0;
   /// Number of Lenzen batches executed.
   std::size_t lenzen_batches = 0;
-
-  // Fault-recovery accounting (all zero unless a FaultPlan is attached);
-  // overhead only — the logical fields above stay bit-identical to the
-  // fault-free run when recovery is on. Same semantics as mpc::Metrics.
-  std::size_t rounds_replayed = 0;
-  std::size_t words_resent = 0;
-  std::size_t checkpoint_bytes = 0;
-  std::size_t faults_injected = 0;
-  /// kCorruptPayload events that flipped at least one staged bit.
-  std::size_t corruptions_injected = 0;
-  /// Corruptions caught by the per-player stream checksums; equals
-  /// corruptions_injected whenever integrity is on.
-  std::size_t corruptions_detected = 0;
-  /// Words re-delivered by the detect->retransmit protocol.
-  std::size_t words_retransmitted = 0;
-  /// kCorruptStore events that flipped at least one broadcast-store bit.
-  std::size_t store_corruptions_injected = 0;
-  /// Store corruptions caught by the broadcast-store digest; equals
-  /// store_corruptions_injected whenever integrity is on.
-  std::size_t store_corruptions_detected = 0;
-  /// Words reinstated from the publisher's retained pristine copy by the
-  /// in-place broadcast-store repair.
-  std::size_t store_words_repaired = 0;
-  /// Checkpoint restores that fell back past a rotted newest generation.
-  std::size_t checkpoint_fallbacks = 0;
-  /// Proactive durable-store scrub sweeps executed (scrub_interval).
-  std::size_t scrub_passes = 0;
-
-  // On-disk durability accounting (all zero unless durability is armed
-  // via set_durability). Same semantics as mpc::Metrics.
-  std::size_t disk_checkpoints_written = 0;
-  std::size_t disk_checkpoint_words = 0;
-  std::size_t resume_loads = 0;
-  std::size_t disk_fallbacks = 0;
-  std::size_t faults_skipped_on_resume = 0;
 };
 
-class Engine {
+class Engine final : private fault::RoundTransport {
  public:
   /// `integrity` arms per-player FNV-1a checksums over the point-to-point
   /// words, folded incrementally at send() time and verified before every
@@ -335,93 +290,112 @@ class Engine {
   void restore(const Snapshot& snap);
 
   /// Attaches a deterministic fault schedule (see
-  /// mpc::Engine::set_fault_plan for the full contract — semantics are
-  /// identical, with "machine" meaning player here). lenzen_route treats
-  /// every fault in a batch's two rounds as recovered: the scheme's batch
-  /// structure is its own retransmission unit.
+  /// fault::RoundHarness::attach; "machine" means player here).
+  /// lenzen_route treats every fault in a batch's two rounds as recovered:
+  /// the scheme's batch structure is its own retransmission unit.
   void set_fault_plan(const fault::FaultPlan* plan,
                       fault::CheckpointRegistry* registry = nullptr,
-                      bool recover = true);
-
-  [[nodiscard]] std::size_t crashes_recovered() const noexcept {
-    return crashes_recovered_;
+                      bool recover = true) {
+    harness_.attach(plan, registry, recover);
   }
 
-  /// Arms on-disk durability (see fault/durable.h and
-  /// mpc::Config::checkpoint_dir — semantics identical): a DurableRing is
-  /// opened (and wiped unless `options.resume`) under `options.dir`, and
-  /// `scope` becomes the configuration signature baked into every file.
+  [[nodiscard]] std::size_t crashes_recovered() const noexcept {
+    return harness_.crashes_recovered();
+  }
+
+  /// Arms on-disk durability (see fault::RoundHarness::set_durability).
   /// No-op when `options.dir` is empty.
-  void set_durability(const fault::DurableOptions& options, std::string scope);
+  void set_durability(const fault::DurableOptions& options,
+                      std::string scope) {
+    harness_.set_durability(options, std::move(scope));
+  }
 
-  /// Driver-announced safe point; mirrors mpc::Engine::checkpoint_boundary
-  /// (stop-flag polling, every-K persistence, ResumableInterrupt).
-  void checkpoint_boundary();
+  /// Driver-announced safe point: parks the pool (no worker may touch
+  /// driver or provider state while a generation persists or a stop
+  /// unwinds), then fault::RoundHarness::safe_point.
+  void checkpoint_boundary() {
+    backend_->quiesce();
+    harness_.safe_point();
+  }
 
-  /// Resume attempt; mirrors mpc::Engine::try_resume (call once, after
-  /// registering providers and attaching any fault plan).
-  bool try_resume();
+  /// Resume attempt (see fault::RoundHarness::try_resume; call once,
+  /// after registering providers and attaching any fault plan).
+  bool try_resume() { return harness_.try_resume(); }
 
  private:
-  void persist();
-  void engine_section_into(fault::DurableSection& s) const;
-  void install_engine_section(std::span<const Word> payload);
-  void exchange_impl();
-  void exchange_faulty(std::span<const fault::FaultEvent> events);
-  [[nodiscard]] std::size_t staged_out_words(std::size_t player) const;
+  // fault::RoundTransport: the verbs the shared fault harness drives (see
+  // fault/round_harness.h for each contract), over this engine's staging.
+  [[nodiscard]] std::size_t round() const override { return metrics_.rounds; }
+  std::size_t capture_round() override;
+  void rollback_round() override { restore(round_ckpt_); }
+  void release_round() override { round_ckpt_ = Snapshot{}; }
+  /// Point-to-point words plus n-1 per staged broadcast.
+  [[nodiscard]] std::size_t staged_words(std::size_t player) const override;
+  /// Erases the player's sends and broadcasts (resyncing the store digest).
+  void lose_flush(std::size_t player, bool stands) override;
+  /// Every pair the player used is now used twice — exactly a congestion
+  /// breach of the 1-word/pair budget, so the model detects it on its own.
+  void duplicate_flush(std::size_t player) override;
+  /// Holds the player's point-to-point sends back to the next exchange.
+  void delay_flush(std::size_t player) override;
+  /// Retains the player's pristine words (aligned with its messages in
+  /// pending_ order), then flips bits among them.
+  std::size_t corrupt_wire(std::size_t player, std::size_t round,
+                           std::size_t ordinal) override;
+  [[nodiscard]] bool wire_ok(std::size_t player) const override;
+  /// Serves the retained words back; the accumulator already holds the
+  /// pristine digest (corruption touched only the words).
+  std::size_t retransmit(std::size_t player) override;
+  [[nodiscard]] std::size_t wire_words(std::size_t player) const override {
+    return staged_p2p(player);
+  }
+  /// Retains the player's staged broadcast words (aligned with its entries
+  /// in bcast_staging_ order), then flips bits among them.
+  std::size_t corrupt_store(std::size_t player, std::size_t round,
+                            std::size_t ordinal) override;
+  [[nodiscard]] bool store_ok() const override { return bcast_store_ok(); }
+  std::size_t repair_store() override;
+  /// Non-destructive: the accumulators keep folding until the round
+  /// actually delivers.
+  void verify_at_rest() override {
+    verify_streams(/*scrub=*/true);
+    verify_bcast_store(/*scrub=*/true);
+  }
+  /// The round execution proper (exchange() minus the fault consultation).
+  void deliver() override;
+  /// The point-to-point inbox plus the round's broadcasts (stored once,
+  /// re-read from there).
+  [[nodiscard]] std::size_t refetch_words(std::size_t player) const override {
+    return inbox_[player].size() + bcast_inbox_.size();
+  }
+  /// Point-to-point deliveries are lost. The broadcast store is durable
+  /// (one shared copy), matching the MPC engine's payload store.
+  void go_dark(std::size_t player) override { inbox_[player].clear(); }
+  /// Metrics and delayed sends; staging and the broadcast store do not
+  /// straddle a safe point (safe points are quiescent).
+  void save_engine_state(std::vector<Word>& out) const override;
+  void load_engine_state(fault::SectionReader& in) override;
+
   /// Point-to-point messages currently staged by `player`.
   [[nodiscard]] std::size_t staged_p2p(std::size_t player) const;
   /// Broadcast words currently staged by `player` (n-1 per broadcast).
   [[nodiscard]] std::size_t staged_bcast(std::size_t player) const;
-  void corrupt_player_staging(std::size_t player);
-  /// Returns the point-to-point words appended (the duplicated copy).
-  std::size_t duplicate_player_staging(std::size_t player);
-  /// Returns the point-to-point words held back.
-  std::size_t delay_player_staging(std::size_t player);
   /// Recomputes csums_[player] from the staged stream (after a fault path
   /// mangled it behind the accumulator's back).
   void resync_player_checksum(std::size_t player);
-  /// Does the player's staged point-to-point stream (in send order) match
-  /// its append-time checksum?
-  [[nodiscard]] bool player_stream_ok(std::size_t player) const;
-  /// The one integrity pass per exchange: folds every staged word into its
-  /// sender's scratch digest (one sweep over pending_, in send order) and
-  /// compares against the accumulators; throws IntegrityError on mismatch.
-  /// Resets the verified accumulators for the next round.
-  void verify_streams();
-  /// Flips 1..3 deterministic, deduplicated (word, bit) pairs in the
-  /// player's staged point-to-point words, retaining the pristine words
-  /// first.  Returns the number of bits flipped (0 if nothing staged).
-  std::size_t corrupt_player_words(std::size_t player, std::size_t round,
-                                   std::size_t ordinal);
-  /// Serves the retained pristine words back into pending_.  Returns the
-  /// word count re-delivered.
-  std::size_t retransmit_retained(std::size_t player);
-  /// kCorruptStore injection: retains the player's staged broadcast-store
-  /// words (the pristine repair copy) and flips 1..3 deduplicated
-  /// (word, bit) pairs among them.  Returns the bits flipped (0 when the
-  /// player has no staged broadcasts).
-  std::size_t corrupt_bcast_words(std::size_t player, std::size_t round,
-                                  std::size_t ordinal);
+  /// Folds every staged word into its sender's scratch digest (one sweep
+  /// over pending_, in send order) and compares against the accumulators;
+  /// throws IntegrityError on mismatch.  At delivery (`scrub` false) the
+  /// verified accumulators reset for the next round; a scrub leaves them.
+  void verify_streams(bool scrub);
   /// Does the broadcast store (all staged broadcast words, in staging
   /// order) match its publish-time digest accumulator?
   [[nodiscard]] bool bcast_store_ok() const;
-  /// Reinstates the retained pristine broadcast words (in-place store
-  /// repair).  Returns the word count restored.
-  std::size_t repair_retained_bcast();
+  /// Throws IntegrityError unless bcast_store_ok().
+  void verify_bcast_store(bool scrub) const;
   /// Recomputes bcast_csum_ from the staged broadcast store (after a fault
   /// path mutated it behind the accumulator's back).
   void resync_bcast_checksum();
-  /// The opt-in proactive scrub: re-digests the point-to-point streams and
-  /// the broadcast store (non-destructively) and re-verifies every
-  /// retained checkpoint generation.  Throws IntegrityError on rot that
-  /// escaped repair; otherwise observable only as Metrics::scrub_passes.
-  void scrub_pass();
-  /// Verified checkpoint restore with generation fallback; mirrors
-  /// mpc::Engine::restore_registry (CheckpointError when every generation
-  /// is bad, naming `player` and `round`).
-  void restore_registry(std::size_t player, std::size_t round,
-                        std::size_t& replays, std::size_t& fallbacks);
   void begin_audit();
   /// Closes the conservation equations for the round just delivered.
   void finish_audit() const;
@@ -479,23 +453,15 @@ class Engine {
   /// Backs the legacy vector<Message> lenzen_route wrapper.
   RouteStream route_restage_;
 
-  // Fault machinery (see set_fault_plan). Pointers are borrowed.
-  const fault::FaultPlan* fault_plan_ = nullptr;
-  fault::CheckpointRegistry* registry_ = nullptr;
-  bool fault_recover_ = true;
-  std::size_t crashes_recovered_ = 0;
-  // On-disk durability (see set_durability).
-  fault::DurableOptions durable_;
-  std::string durable_scope_;
-  std::optional<fault::DurableRing> dring_;
-  std::size_t safe_points_ = 0;
-  /// Serialization scratch recycled across persists (see mpc::Engine).
-  std::vector<fault::DurableSection> durable_scratch_;
+  /// The fault and durability harness; drives this engine as its
+  /// transport.
+  fault::RoundHarness harness_{*this, metrics_, {"player", "broadcast store"},
+                               n_, integrity_};
+  /// The rollback point of the faulty round in flight (capture_round).
+  Snapshot round_ckpt_;
   /// Point-to-point sends held back by a non-recovered kDelayFlush,
   /// re-staged at the next exchange.
   std::vector<Message> delayed_;
-  std::vector<std::size_t> crashed_scratch_;
-  std::vector<std::size_t> dark_scratch_;
 
   // Integrity layer (sized n_ only when integrity_ is on).
   /// Per-player FNV-1a accumulator over point-to-point words, in send
@@ -504,18 +470,16 @@ class Engine {
   /// verify_streams scratch: per-player recomputed digest + touched list.
   std::vector<std::uint64_t> csum_check_;
   std::vector<PlayerId> csum_touched_;
-  /// Pristine words retained by corrupt_player_words, aligned with the
-  /// player's staged messages in pending_ order; valid for retained_from_
-  /// within one exchange_faulty.
+  /// Pristine words retained by corrupt_wire, aligned with the player's
+  /// staged messages in pending_ order; valid within one faulty round.
   std::vector<Word> retained_words_;
-  std::size_t retained_from_ = static_cast<std::size_t>(-1);
   /// FNV-1a accumulator over the broadcast store (all staged broadcast
   /// words in staging order), folded at broadcast() time — the store half
   /// of the integrity layer; reset when the staging ships.
   std::uint64_t bcast_csum_ = Fnv::kOffset;
-  /// Pristine broadcast words retained by corrupt_bcast_words, aligned
-  /// with the player's entries in bcast_staging_ order; valid for
-  /// retained_bcast_from_ within one exchange_faulty.
+  /// Pristine broadcast words retained by corrupt_store, aligned with the
+  /// player's entries in bcast_staging_ order; valid for
+  /// retained_bcast_from_ within one faulty round.
   std::vector<Word> retained_bcast_words_;
   std::size_t retained_bcast_from_ = static_cast<std::size_t>(-1);
 

@@ -64,7 +64,8 @@ struct MisCommonOptions {
   /// never; requires integrity — see mpc::Config::scrub_interval).
   std::size_t scrub_interval = 0;
   /// On-disk checkpoint persistence and resume (see fault/durable.h and
-  /// mpc::Config::checkpoint_dir). Off while `durable.dir` is empty.
+  /// fault::RoundHarness::set_durability). Off while `durable.dir` is
+  /// empty.
   fault::DurableOptions durable;
 };
 

@@ -69,22 +69,18 @@ class MisMpcRun : public mis_detail::MisDriver<MisMpcRun, MisMpcResult> {
     cfg.integrity = options.integrity;
     cfg.audit = options.audit;
     cfg.scrub_interval = options.scrub_interval;
+    engine_.emplace(cfg);
     if (options.durable.enabled()) {
-      cfg.checkpoint_dir = options.durable.dir;
-      cfg.checkpoint_every = options.durable.every;
       // The scope is the configuration signature: a checkpoint written by
       // any differently-shaped run (including a reprovisioned rescale)
       // reads as "no checkpoint" and resume starts fresh.
-      cfg.checkpoint_scope = "mis:" + std::to_string(n_) + ":" +
-                             std::to_string(g.num_edges()) + ":" +
-                             std::to_string(machines_) + ":" +
-                             std::to_string(words_) + ":" +
-                             std::to_string(options.seed);
-      cfg.resume = options.durable.resume;
-      cfg.stop_flag = options.durable.stop_flag;
-      cfg.stop_after_safe_points = options.durable.stop_after_safe_points;
+      engine_->set_durability(
+          options.durable, "mis:" + std::to_string(n_) + ":" +
+                               std::to_string(g.num_edges()) + ":" +
+                               std::to_string(machines_) + ":" +
+                               std::to_string(words_) + ":" +
+                               std::to_string(options.seed));
     }
-    engine_.emplace(cfg);
     for (std::size_t i = 0; i < machines_; ++i) {
       engine_->note_storage(i, shard_words[i] + fixed_words);
     }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "fault/round_harness.h"
 #include "util/fnv.h"
-#include "util/rng.h"
 
 namespace mpcg::fault {
 
@@ -145,27 +145,12 @@ std::size_t CheckpointRegistry::corrupt_generation(std::size_t age,
                                                    std::uint64_t b,
                                                    std::uint64_t c) {
   Generation& g = gen(age);
-  if (g.buffer.empty()) return 0;
-  // Same flip pattern as the wire/store corruptions: 1–3 deduplicated
-  // (word, bit) positions drawn statelessly from mix64.
-  const std::size_t flips = 1 + mix64(a, b, c * 8 + 5) % 3;
-  std::size_t idxs[3];
-  std::size_t bits[3];
-  std::size_t applied = 0;
-  for (std::size_t f = 0; f < flips; ++f) {
-    const std::size_t idx = mix64(a, b * 8 + f, c * 8 + 6) % g.buffer.size();
-    const std::size_t bit = mix64(a, b * 8 + f, c * 8 + 7) % 64;
-    bool dup = false;
-    for (std::size_t s = 0; s < applied; ++s) {
-      dup |= idxs[s] == idx && bits[s] == bit;
-    }
-    if (dup) continue;
-    idxs[applied] = idx;
-    bits[applied] = bit;
-    ++applied;
-    g.buffer[idx] ^= Word{1} << bit;
+  // Same flip pattern as the wire/store corruptions (see pick_flips).
+  const BitFlips f = pick_flips(a, b, c, g.buffer.size());
+  for (std::size_t i = 0; i < f.count; ++i) {
+    g.buffer[f.word[i]] ^= Word{1} << f.bit[i];
   }
-  return applied;
+  return f.count;
 }
 
 std::vector<DurableSection> CheckpointRegistry::save_sections() {

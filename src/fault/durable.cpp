@@ -16,7 +16,11 @@ using Word = std::uint64_t;
 
 /// The byte string "MPCGCKPT" read as one little-endian word.
 constexpr Word kMagic = 0x54504b434743504dULL;
-constexpr Word kVersion = 1;
+/// 2: engine Metrics (memcpy'd into "__engine" sections and
+/// integral_matching's outer cursor) lead with fault::FaultMetrics, and the
+/// harness's crash count trails each "__engine" section.  A version-1 file
+/// is rejected, never misread.
+constexpr Word kVersion = 2;
 
 /// Guard rails for parsing garbage: any well-formed file the library
 /// writes stays far below these.

@@ -23,31 +23,22 @@
 //     simulator work instead of O(k * f) copies.
 // Inboxes are exposed as ordered segment views (`inbox_view`): each shared
 // payload appears as one segment aliasing the single stored copy, and
-// unicast words as segments into the receiver's inbox buffer. The legacy
-// `inbox()` accessor survives as a lazily-materialized compatibility shim.
+// unicast words as segments into the receiver's inbox buffer.
 // Zero-copy changes *simulation* cost only: metrics (rounds, sent/received
 // words, violations) account shared payloads at full per-destination size,
 // exactly as if every receiver got its own copy.
 #ifndef MPCG_MPC_ENGINE_H
 #define MPCG_MPC_ENGINE_H
 
-#include <atomic>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "fault/durable.h"
+#include "fault/round_harness.h"
 #include "mpc/backend.h"
 #include "util/fnv.h"
-
-namespace mpcg::fault {
-class FaultPlan;
-class CheckpointRegistry;
-struct FaultEvent;
-}  // namespace mpcg::fault
 
 namespace mpcg::mpc {
 
@@ -65,14 +56,9 @@ class CapacityError : public std::runtime_error {
 };
 
 /// Thrown when integrity checking (Config::integrity) detects a stream
-/// checksum mismatch it cannot repair: a corruption whose retransmit budget
-/// is exhausted with recovery disabled, or a mismatch at delivery that no
-/// detect->retransmit cycle handled.
-class IntegrityError : public std::runtime_error {
- public:
-  explicit IntegrityError(const std::string& what)
-      : std::runtime_error(what) {}
-};
+/// checksum or store digest mismatch it cannot repair (see
+/// fault::IntegrityError).
+using IntegrityError = fault::IntegrityError;
 
 /// Thrown when audit mode (Config::audit) finds a broken invariant — a
 /// conservation violation, an untallied capacity breach, or an inbox view
@@ -147,30 +133,6 @@ struct Config {
   /// that escaped the repair path throws IntegrityError (see DESIGN.md,
   /// "Determinism contract").
   std::size_t scrub_interval = 0;
-  /// On-disk checkpoint durability (see fault/durable.h): every K-th safe
-  /// point the driver announces via checkpoint_boundary() is persisted as
-  /// one durable generation under `checkpoint_dir`.  Empty = off; the
-  /// remaining durability knobs are then ignored.
-  std::string checkpoint_dir{};
-  /// Persist every K-th safe point (must be >= 1).
-  std::size_t checkpoint_every = 1;
-  /// Configuration signature baked into every durable file.  A resume only
-  /// loads checkpoints whose scope matches exactly, so another run's
-  /// leftovers (different driver, graph, cluster shape, seed) read as "no
-  /// checkpoint" — a clean fresh start.  Drivers set this; an empty scope
-  /// with a non-empty dir is a driver bug.
-  std::string checkpoint_scope{};
-  /// Resume from the newest verified on-disk generation (try_resume());
-  /// false wipes stale same-scope files so they can never outrank this
-  /// run's own checkpoints by sequence number.
-  bool resume = false;
-  /// Graceful-stop flag (a SIGTERM/SIGINT handler sets it): polled at every
-  /// safe point; when set the engine flushes one final generation and
-  /// throws fault::ResumableInterrupt.
-  const std::atomic<bool>* stop_flag = nullptr;
-  /// Test hook: behave as if stop_flag was set at the N-th safe point
-  /// (0 = never) — deterministic kill points for resume tests.
-  std::size_t stop_after_safe_points = 0;
   /// Execution backend width (see mpc/backend.h): 1 = the sequential
   /// reference (byte-for-byte the historical engine); > 1 = a shared-memory
   /// pool of that many threads (caller included) running the contention-
@@ -180,7 +142,9 @@ struct Config {
   std::size_t threads = 1;
 };
 
-struct Metrics {
+/// Logical counters first-class; the fault and durability overhead
+/// counters (and their layout on disk) come from fault::FaultMetrics.
+struct Metrics : fault::FaultMetrics {
   /// Communication rounds executed so far.
   std::size_t rounds = 0;
   /// Peak words sent by any machine in any single round.
@@ -194,66 +158,6 @@ struct Metrics {
   std::size_t violations = 0;
   /// Total words moved across the cluster over all rounds.
   std::size_t total_words = 0;
-
-  // Fault-recovery accounting (all zero unless a FaultPlan is attached).
-  // These are *overhead* counters: the logical fields above stay
-  // bit-identical to the fault-free run when recovery is on.
-  /// Rounds replayed by crash/drop recovery or stalled for a late flush
-  /// (not counted in `rounds`, which stays the logical round count).
-  std::size_t rounds_replayed = 0;
-  /// Words retransmitted during recovery: lost outbound flushes replayed
-  /// from sender-side retention, plus the deliveries a crashed machine
-  /// re-fetched after its rollback.
-  std::size_t words_resent = 0;
-  /// Bytes serialized into round-level checkpoints (engine snapshot +
-  /// registered driver state), materialized copy-on-fault.
-  std::size_t checkpoint_bytes = 0;
-  /// Fault events applied from the attached plan.
-  std::size_t faults_injected = 0;
-  /// kCorruptPayload events that flipped at least one staged bit (events
-  /// landing on an empty stream corrupt nothing and are not counted here,
-  /// though they still count in faults_injected).
-  std::size_t corruptions_injected = 0;
-  /// Corruptions caught by the integrity layer's checksum verification.
-  /// Equals corruptions_injected whenever Config::integrity is on.
-  std::size_t corruptions_detected = 0;
-  /// Words re-delivered from sender-side retention by the detect->
-  /// retransmit protocol (including the re-delivery after a budget-blown
-  /// corruption escalated to checkpoint rollback).
-  std::size_t words_retransmitted = 0;
-  /// kCorruptStore events that flipped at least one stored bit (events
-  /// landing on an empty payload store corrupt nothing and are not counted
-  /// here, though they still count in faults_injected).
-  std::size_t store_corruptions_injected = 0;
-  /// Store corruptions caught by the per-blob digest verification.  Equals
-  /// store_corruptions_injected whenever Config::integrity is on.
-  std::size_t store_corruptions_detected = 0;
-  /// Words reinstated from the publisher's retained pristine copy by the
-  /// in-place store repair (budget-blown store corruptions roll the round
-  /// back instead and are charged to rounds_replayed).
-  std::size_t store_words_repaired = 0;
-  /// Checkpoint restores that found the newest generation rotted and fell
-  /// back to an older verified one (charging the replayed rounds between
-  /// the two generation tags to rounds_replayed).
-  std::size_t checkpoint_fallbacks = 0;
-  /// Proactive durable-store scrub sweeps executed (Config::scrub_interval).
-  std::size_t scrub_passes = 0;
-
-  // On-disk durability accounting (all zero unless Config::checkpoint_dir
-  // is set — clean non-persistent runs never touch the disk).
-  /// Durable generations persisted (checkpoint files atomically published).
-  std::size_t disk_checkpoints_written = 0;
-  /// Total 64-bit words written across those files (headers + payloads).
-  std::size_t disk_checkpoint_words = 0;
-  /// Successful --resume loads from an on-disk generation.
-  std::size_t resume_loads = 0;
-  /// Resume loads that skipped past a rotted/torn newer on-disk generation
-  /// to an older verified one.
-  std::size_t disk_fallbacks = 0;
-  /// FaultPlan events scheduled before the resume point and therefore not
-  /// re-injected by the resumed process (they already fired — and were
-  /// absorbed — before the persisted safe point).
-  std::size_t faults_skipped_on_resume = 0;
 };
 
 /// Run-length tag encoding of the flat staging. Each sender's staged words
@@ -501,7 +405,7 @@ class InboxView {
   std::size_t words_ = 0;
 };
 
-class Engine {
+class Engine final : private fault::RoundTransport {
   /// One queued shared-payload delivery. `seq` snapshots how many unicast
   /// words the sender had queued (to this receiver on the dense path; in
   /// total on the flat path) when the shared push happened — the splice
@@ -605,13 +509,6 @@ class Engine {
     return delivered_payloads_.at(id);
   }
 
-  /// Words delivered to `machine` by the most recent exchange, concatenated
-  /// in sender order (sender ids ascending; each sender's words in push
-  /// order). Compatibility shim over inbox_view: rounds that carried no
-  /// shared payloads return the inbox buffer directly; otherwise the
-  /// concatenation is materialized lazily (once) per machine per round.
-  [[nodiscard]] const std::vector<Word>& inbox(std::size_t machine) const;
-
   /// Reports `words` of resident state on `machine` for peak-storage
   /// accounting (e.g. an adjacency shard or a gathered subgraph). In strict
   /// mode exceeding S throws.
@@ -667,91 +564,119 @@ class Engine {
   /// Outstanding views and Outbox handles are invalidated.
   void restore(const Snapshot& snap);
 
-  /// Attaches a deterministic fault schedule, consulted at every round
-  /// boundary (round index = Metrics::rounds at entry).  `registry`, when
-  /// given, is the driver's checkpoint registry: it is captured alongside
-  /// the engine snapshot at faulty rounds and restored on crash rollback.
-  /// With `recover` false nothing rolls back — crashed machines simply go
-  /// dark for the round (lost flush, cleared inbox) and duplicated or
-  /// delayed flushes hit the wire as such.  Passing nullptr (or an empty
-  /// plan) detaches.  The plan must outlive the engine's use of it.
+  /// Attaches a deterministic fault schedule (see
+  /// fault::RoundHarness::attach): `registry`, when given, is the driver's
+  /// checkpoint registry, captured alongside the engine snapshot at faulty
+  /// rounds and restored on crash rollback.  Passing nullptr (or an empty
+  /// plan) detaches.
   void set_fault_plan(const fault::FaultPlan* plan,
                       fault::CheckpointRegistry* registry = nullptr,
-                      bool recover = true);
+                      bool recover = true) {
+    harness_.attach(plan, registry, recover);
+  }
 
   /// Crashes absorbed by recovery so far (checked against the plan's
   /// crash_budget).
   [[nodiscard]] std::size_t crashes_recovered() const noexcept {
-    return crashes_recovered_;
+    return harness_.crashes_recovered();
+  }
+
+  /// Arms on-disk durability (see fault::RoundHarness::set_durability):
+  /// every `options.every`-th safe point persists one generation under
+  /// `options.dir`, signed with `scope`.  No-op when `options.dir` is empty.
+  void set_durability(const fault::DurableOptions& options,
+                      std::string scope) {
+    harness_.set_durability(options, std::move(scope));
   }
 
   /// Driver-announced safe point (a driver loop boundary where the
   /// registered providers' state is self-consistent and the message plane
-  /// is quiescent).  With Config::checkpoint_dir set: polls the stop flag
-  /// (flushing a final generation and throwing fault::ResumableInterrupt
-  /// when stopping) and persists one durable generation every
-  /// Config::checkpoint_every-th call.  No-op without durability — drivers
-  /// call it unconditionally at their loop tops.
-  void checkpoint_boundary();
+  /// is quiescent): parks the pool, then polls the stop flag and persists
+  /// (fault::RoundHarness::safe_point).  Drivers call it unconditionally at
+  /// their loop tops.
+  void checkpoint_boundary() {
+    // No worker may touch engine or provider state while a generation is
+    // persisted or a stop unwinds. No-op on the sequential backend, and
+    // cheap on the parallel one (run_chunks is blocking, so workers are
+    // already idle — this waits until they are *parked*).
+    backend_->quiesce();
+    harness_.safe_point();
+  }
 
   /// Resume attempt (call once, after registering checkpoint providers and
-  /// before the first round): loads the newest verified on-disk generation
-  /// matching Config::checkpoint_scope, reinstates every provider and the
-  /// engine's own "__engine" section (metrics, adaptive-path state, delayed
-  /// flushes), and counts plan events at already-completed rounds into
-  /// Metrics::faults_skipped_on_resume.  Returns true when a checkpoint
-  /// was loaded (the driver skips its preamble and re-enters its loop);
-  /// false on a fresh start (durability off, --resume not given, nothing
-  /// on disk, or a scope mismatch).  Throws fault::CheckpointError when
-  /// files exist for this scope but every generation fails verification.
-  bool try_resume();
+  /// before the first round; see fault::RoundHarness::try_resume).  The
+  /// engine's own section restores Metrics, the adaptive-path state and
+  /// delayed flushes.  True when a checkpoint was loaded.
+  bool try_resume() { return harness_.try_resume(); }
 
  private:
-  /// Persists one durable generation (provider sections + "__engine").
-  void persist();
-  /// Refills `s` with the engine's own durable section: Metrics,
-  /// adaptive-path state, crash/delayed-flush carryover.  Staging and the
-  /// payload store are NOT serialized — safe points are quiescent, a fresh
-  /// process's empty staging is exactly right.  Takes the section by
-  /// reference so persist() can recycle the buffer across safe points.
-  void engine_section_into(fault::DurableSection& s) const;
-  void install_engine_section(std::span<const Word> payload);
   void check_budget(std::size_t machine, std::size_t words, const char* dir);
   void check_machine(std::size_t machine) const;
   [[noreturn]] void throw_bad_machine(std::size_t machine) const;
 
   void drop_last_round();
-  /// The actual round execution (the pre-fault exchange() body); exchange()
-  /// wraps it with the fault-plan consultation.
-  void exchange_impl();
-  /// exchange() when a fault plan is attached and schedules events for the
-  /// current round: checkpoint (copy-on-fault), apply each event —
-  /// corrupting staged state and, with recovery, rolling back and replaying
-  /// — then run the round and settle the recovery metrics.
-  void exchange_faulty(std::span<const fault::FaultEvent> events);
-  /// Words machine `m` has staged for the next exchange (unicast + its
-  /// share of shared payload deliveries) — what a lost flush costs.
-  [[nodiscard]] std::size_t staged_out_words(std::size_t machine) const;
+
+  // fault::RoundTransport: the verbs the shared fault harness drives (see
+  // fault/round_harness.h for each contract), over this engine's staging.
+  [[nodiscard]] std::size_t round() const override { return metrics_.rounds; }
+  std::size_t capture_round() override;
+  void rollback_round() override { restore(round_ckpt_); }
+  void release_round() override { round_ckpt_ = Snapshot{}; }
+  /// Unicast words plus the machine's share of shared payload deliveries.
+  [[nodiscard]] std::size_t staged_words(std::size_t machine) const override;
+  /// Destroys the machine's unicast boxes or run streams and its queued
+  /// shared-payload sends. The payload *store* survives: stage_payload
+  /// models a durable blob store, the per-machine flush is what a fault
+  /// destroys.
+  void lose_flush(std::size_t machine, bool stands) override;
+  /// Doubles the staged unicast traffic (receivers see every word twice
+  /// and congestion accounting trips).
+  void duplicate_flush(std::size_t machine) override;
+  /// Holds the staged unicast traffic back one round; inject_delayed()
+  /// re-appends it to the next round's staging.
+  void delay_flush(std::size_t machine) override;
+  /// Copies the staged flat stream aside (sender-side retention) and flips
+  /// bits in the live staged words; on the dense path flips bits in the
+  /// per-pair boxes without retention (integrity cannot be on there).
+  std::size_t corrupt_wire(std::size_t machine, std::size_t round,
+                           std::size_t ordinal) override;
+  [[nodiscard]] bool wire_ok(std::size_t machine) const override {
+    return sender_stream_ok(machine);
+  }
+  std::size_t retransmit(std::size_t machine) override;
+  [[nodiscard]] std::size_t wire_words(std::size_t machine) const override {
+    return out_words_[machine].size();
+  }
+  /// Copies a payload blob aside (the publisher's retained pristine copy)
+  /// and flips bits in it.  The blob is picked word-weighted across the
+  /// store, so a non-empty store always takes a hit.
+  std::size_t corrupt_store(std::size_t machine, std::size_t round,
+                            std::size_t ordinal) override;
+  [[nodiscard]] bool store_ok() const override {
+    return store_blob_ok(retained_blob_id_);
+  }
+  std::size_t repair_store() override;
+  void verify_at_rest() override {
+    verify_store();
+    verify_streams();
+  }
+  /// The round execution proper (exchange() minus the fault consultation).
+  void deliver() override;
+  [[nodiscard]] std::size_t refetch_words(std::size_t machine) const override {
+    return received_words(machine);
+  }
+  /// Blanks what the machine received this round. Send-side metrics keep
+  /// the words — they were sent, they just hit a dead host.
+  void go_dark(std::size_t machine) override;
+  /// Metrics, adaptive-path state and delayed flushes.  Staging and the
+  /// payload store are NOT serialized — safe points are quiescent, and a
+  /// fresh process's empty staging is exactly right.
+  void save_engine_state(std::vector<Word>& out) const override;
+  void load_engine_state(fault::SectionReader& in) override;
+
   /// Words machine `m` received in the round just executed.
   [[nodiscard]] std::size_t received_words(std::size_t machine) const;
-  /// Destroys machine `m`'s staged outbound traffic (its unicast boxes or
-  /// run streams and its queued shared-payload sends). The payload *store*
-  /// survives: stage_payload models a durable blob store, the per-machine
-  /// flush is what a fault destroys.
-  void corrupt_machine_staging(std::size_t machine);
-  /// Doubles machine `m`'s staged unicast traffic (non-recovered duplicate
-  /// flush: receivers see every word twice and congestion accounting
-  /// trips).  Returns the words added (the audit-mode adjustment).
-  std::size_t duplicate_machine_staging(std::size_t machine);
-  /// Holds machine `m`'s staged unicast traffic back one round
-  /// (non-recovered delayed flush); inject_delayed() re-appends it to the
-  /// next round's staging.  Returns the words held back.
-  std::size_t delay_machine_staging(std::size_t machine);
   void inject_delayed();
-  /// Blanks what a dark (non-recovered crashed) machine received this
-  /// round. Send-side metrics keep the words — they were sent, they just
-  /// hit a dead host.
-  void clear_delivered_for(std::size_t machine);
   /// Clears one flat sender's staged stream (tags, counts, words, open-run
   /// table, checksum accumulator).
   void clear_sender_staging(std::size_t from);
@@ -767,49 +692,15 @@ class Engine {
   /// this point escaped the detect->retransmit protocol — real memory
   /// corruption, not an injected fault — and throws IntegrityError.
   void verify_streams() const;
-  /// Copies machine `m`'s staged flat stream aside (sender-side retention)
-  /// and flips 1-3 mix64-derived bits in the live staged words; on the
-  /// dense path flips bits in the per-pair boxes without retention
-  /// (integrity cannot be on there).  Returns the number of bits flipped
-  /// (0 when nothing is staged).
-  std::size_t corrupt_staged_words(std::size_t machine, std::size_t round,
-                                   std::size_t ordinal);
-  /// Reinstates the retained pristine stream (the retransmission) and
-  /// returns the number of words re-delivered.
-  std::size_t retransmit_retained(std::size_t machine);
-  /// kCorruptStore injection: copies the targeted payload blob aside (the
-  /// publisher's retained pristine copy) and flips 1-3 mix64-derived bits
-  /// in the stored blob.  The blob is picked word-weighted across the
-  /// store, so a non-empty store always takes a hit.  Returns the number
-  /// of bits flipped (0 when the store holds no words).
-  std::size_t corrupt_store_blob(std::size_t machine, std::size_t round,
-                                 std::size_t ordinal);
   /// True iff the blob's stored words still match the digest folded at
   /// stage_payload time — the reader-side store verification.
   [[nodiscard]] bool store_blob_ok(PayloadId id) const;
-  /// Reinstates the retained pristine blob (the in-place store repair) and
-  /// returns the number of words restored.
-  std::size_t repair_retained_blob();
   /// Flush-time verification of every staged payload blob against its
   /// stage-time digest (reached only with Config::integrity on) — the
   /// reader-side guarantee that inbox_view / broadcast_view splices never
   /// alias rotted store bytes.  A mismatch here escaped the repair
   /// protocol and throws IntegrityError.
   void verify_store() const;
-  /// The opt-in proactive scrub (Config::scrub_interval): re-digests the
-  /// payload store and the wire streams and re-verifies every retained
-  /// checkpoint generation.  Pure verification — inert on a clean run
-  /// except for Metrics::scrub_passes.
-  void scrub_pass();
-  /// Verified checkpoint restore with generation fallback: restores the
-  /// newest registry generation if it verifies; otherwise falls back to
-  /// the next older verified one — deterministic replay from it would
-  /// reconstruct exactly the live provider state, so the newest image is
-  /// recaptured from live state and the replayed rounds are charged —
-  /// and throws CheckpointError naming `machine` and `round` when every
-  /// generation is bad.
-  void restore_registry(std::size_t machine, std::size_t round,
-                        std::size_t& replays, std::size_t& fallbacks);
   /// Audit mode: records the staged word total (post delayed-injection,
   /// pre fault events) and the fault adjustments baseline for this round.
   void begin_audit();
@@ -916,9 +807,6 @@ class Engine {
   /// machines in seg_touched_.
   std::vector<std::size_t> recv_total_;
   bool shared_round_ = false;
-  /// Lazy materializations backing the inbox() shim on shared rounds.
-  mutable std::vector<std::vector<Word>> inbox_cache_;
-  mutable std::vector<char> inbox_cache_valid_;
 
   /// Per-receiver word counts for the current exchange (scratch).
   std::vector<std::size_t> recv_count_;
@@ -943,21 +831,12 @@ class Engine {
   /// with seq rewritten to the within-pair splice offset.
   std::vector<SharedSend> sender_sends_;
 
-  // Fault machinery (see set_fault_plan). All pointers are borrowed.
-  const fault::FaultPlan* fault_plan_ = nullptr;
-  fault::CheckpointRegistry* registry_ = nullptr;
-  bool fault_recover_ = true;
-  std::size_t crashes_recovered_ = 0;
-  /// On-disk generation ring (engaged iff Config::checkpoint_dir is set).
-  std::optional<fault::DurableRing> dring_;
-  /// Safe points announced via checkpoint_boundary() this process (not
-  /// persisted: it only paces the persistence cadence).
-  std::size_t safe_points_ = 0;
-  /// Serialization scratch recycled across persists (provider sections
-  /// followed by one "__engine" section): steady-state saves reuse the
-  /// payload buffers instead of reallocating ~the full provider state at
-  /// every persisted safe point.
-  std::vector<fault::DurableSection> durable_scratch_;
+  /// The fault and durability harness (plan, budgets, the faulty-round
+  /// protocol, scrub, safe points); drives this engine as its transport.
+  fault::RoundHarness harness_{*this, metrics_, {"machine", "payload store"},
+                               config_.num_machines, config_.integrity};
+  /// The rollback point of the faulty round in flight (capture_round).
+  Snapshot round_ckpt_;
   /// A flush held back by a non-recovered kDelayFlush, stored as run
   /// descriptors (path-agnostic: it may be re-injected under either
   /// staging representation).
@@ -968,14 +847,9 @@ class Engine {
     std::vector<Word> words;
   };
   std::vector<DelayedFlush> delayed_;
-  /// Per-faulty-round scratch: machines whose lost deliveries recovery
-  /// re-fetches / machines that went dark without recovery.
-  std::vector<std::size_t> crashed_scratch_;
-  std::vector<std::size_t> dark_scratch_;
   /// Sender-side retention for the detect->retransmit protocol: the
   /// pristine copy of the stream a kCorruptPayload event is about to
-  /// mangle (valid for the machine named by retained_from_ within one
-  /// exchange_faulty).
+  /// mangle (valid within one faulty round).
   struct RetainedStream {
     std::vector<std::uint32_t> tos;
     std::vector<std::uint32_t> counts;
@@ -984,11 +858,10 @@ class Engine {
     std::uint64_t csum = 0;
   };
   RetainedStream retained_;
-  std::size_t retained_from_ = static_cast<std::size_t>(-1);
   /// Publisher-side retention for the store-repair protocol: the pristine
   /// copy of the payload blob a kCorruptStore event is about to mangle
-  /// (valid for the blob named by retained_blob_id_ within one
-  /// exchange_faulty).
+  /// (valid for the blob named by retained_blob_id_ within one faulty
+  /// round).
   std::vector<Word> retained_blob_;
   PayloadId retained_blob_id_ = static_cast<PayloadId>(-1);
 

@@ -4,13 +4,6 @@
 
 namespace mpcg::mpc {
 
-std::vector<Word> broadcast(Engine& engine, std::size_t root,
-                            std::span<const Word> payload) {
-  std::vector<Word> copy(payload.begin(), payload.end());
-  broadcast_view(engine, root, copy);
-  return copy;
-}
-
 std::span<const Word> broadcast_view(Engine& engine, std::size_t root,
                                      std::span<const Word> payload) {
   const std::size_t m = engine.num_machines();

@@ -22,19 +22,14 @@ namespace mpcg::mpc {
 /// Rides the engine's shared-payload plane: the payload is stored once per
 /// relay round and delivered as descriptors, so simulator work is
 /// O(|payload| * rounds + m) instead of O(|payload| * m) — the charged
-/// words are unchanged. Returns the payload as received (identical on
-/// every machine — the engine verified it could be delivered everywhere).
-/// Throws CapacityError if |payload| > S.
-std::vector<Word> broadcast(Engine& engine, std::size_t root,
-                            std::span<const Word> payload);
-
-/// broadcast() without the materialized return value: identical relay
-/// schedule, rounds, and Metrics, but the result is a zero-copy view of the
-/// delivered payload. The span aliases engine-owned storage and is valid
-/// until the next exchange() or clear_inboxes() — except on single-machine
-/// clusters, where no exchange happens and the input span itself is
-/// returned (valid as long as the caller's payload). Callers that must hold
-/// the words across rounds should use broadcast().
+/// words are unchanged. Returns a zero-copy view of the payload as
+/// received (identical on every machine — the engine verified it could be
+/// delivered everywhere). The span aliases engine-owned storage and is
+/// valid until the next exchange() or clear_inboxes() — except on
+/// single-machine clusters, where no exchange happens and the input span
+/// itself is returned (valid as long as the caller's payload). Callers
+/// that must hold the words across rounds copy them out. Throws
+/// CapacityError if |payload| > S.
 std::span<const Word> broadcast_view(Engine& engine, std::size_t root,
                                      std::span<const Word> payload);
 

@@ -36,6 +36,7 @@
 #include "fault/checkpoint.h"
 #include "fault/fault_plan.h"
 #include "fault/reprovision.h"
+#include "fault/round_harness.h"
 
 #include "baselines/blossom.h"
 #include "baselines/brute_force.h"

@@ -1,11 +1,11 @@
 // Zero-copy message plane: inbox-view lifetime/aliasing semantics, the
-// interleaving contract between unicast pushes and shared payloads, the
-// inbox() compatibility shim, accounting equivalence between shared and
-// materialized delivery, and the streamed-outbox staging (run-length
-// record streams) coupled against the legacy per-word push path. Every
-// scenario runs on both exchange representations (dense box matrix and
-// flat counting-sort), selected via Config::dense_machine_limit; the
-// randomized staging coupling additionally runs the adaptive chooser.
+// interleaving contract between unicast pushes and shared payloads,
+// accounting equivalence between shared and materialized delivery, and
+// the streamed-outbox staging (run-length record streams) coupled against
+// the legacy per-word push path. Every scenario runs on both exchange
+// representations (dense box matrix and flat counting-sort), selected via
+// Config::dense_machine_limit; the randomized staging coupling
+// additionally runs the adaptive chooser.
 #include <numeric>
 #include <random>
 #include <vector>
@@ -84,26 +84,6 @@ TEST_P(MessagePlane, InterleavingPreservesPerSenderPushOrder) {
   e.exchange();
   const std::vector<Word> expected{11, 1, 100, 101, 2, 3, 200, 4, 200};
   EXPECT_EQ(view_words(e.inbox_view(0)), expected);
-  EXPECT_EQ(e.inbox(0), expected);  // shim agrees word-for-word
-}
-
-TEST_P(MessagePlane, ShimMatchesViewOnMixedTraffic) {
-  Engine e = make_engine(GetParam());
-  const std::vector<Word> payload{42, 43, 44};
-  for (std::size_t from = 0; from < 4; ++from) {
-    for (std::size_t to = 0; to < 4; ++to) {
-      if (from == to) continue;
-      e.push(from, to, Word{from * 10 + to});
-    }
-    const std::vector<std::size_t> dests{(from + 1) % 4, (from + 2) % 4};
-    e.push_broadcast(from, dests, payload);
-  }
-  e.exchange();
-  for (std::size_t machine = 0; machine < 4; ++machine) {
-    const InboxView v = e.inbox_view(machine);
-    EXPECT_EQ(view_words(v), e.inbox(machine)) << "machine " << machine;
-    EXPECT_EQ(v.size(), e.inbox(machine).size());
-  }
 }
 
 TEST_P(MessagePlane, StagedPayloadSharedAcrossSenders) {
@@ -143,7 +123,6 @@ TEST_P(MessagePlane, ViewsDescribeOnlyTheLatestExchange) {
   e.push(2, 1, Word{9});
   e.exchange();
   EXPECT_EQ(view_words(e.inbox_view(1)), (std::vector<Word>{9}));
-  EXPECT_EQ(e.inbox(1), (std::vector<Word>{9}));
   // An empty round wipes inboxes too.
   e.exchange();
   EXPECT_TRUE(e.inbox_view(1).empty());
@@ -158,7 +137,6 @@ TEST_P(MessagePlane, ClearInboxesEmptiesViews) {
   EXPECT_EQ(e.inbox_view(1).size(), 3U);
   e.clear_inboxes();
   EXPECT_TRUE(e.inbox_view(1).empty());
-  EXPECT_TRUE(e.inbox(1).empty());
 }
 
 TEST_P(MessagePlane, EmptyPayloadIsANoOp) {
@@ -222,7 +200,7 @@ TEST_P(MessagePlane, AccountingMatchesMaterializedDelivery) {
     EXPECT_EQ(a.violations, b.violations);
     for (std::size_t machine = 0; machine < 4; ++machine) {
       EXPECT_EQ(view_words(shared_e.inbox_view(machine)),
-                plain_e.inbox(machine))
+                plain_e.inbox_view(machine).to_vector())
           << "machine " << machine << " flat=" << flat;
     }
   }
@@ -256,7 +234,8 @@ TEST_P(MessagePlane, CollectivesAgreeWithLegacySemantics) {
   Engine e = make_engine(GetParam(), 6, 1 << 10);
   std::vector<Word> payload(37);
   std::iota(payload.begin(), payload.end(), 100);
-  EXPECT_EQ(broadcast(e, 2, payload), payload);
+  const auto got = broadcast_view(e, 2, payload);
+  EXPECT_EQ(std::vector<Word>(got.begin(), got.end()), payload);
   std::vector<std::vector<Word>> parts{{1}, {}, {2, 3}, {4}, {}, {5, 6, 7}};
   EXPECT_EQ(gather_to(e, 1, parts),
             (std::vector<Word>{1, 2, 3, 4, 5, 6, 7}));
@@ -290,7 +269,7 @@ TEST_P(MessagePlane, OutboxMatchesPerWordPush) {
   legacy.exchange();
   for (std::size_t machine = 0; machine < 4; ++machine) {
     EXPECT_EQ(view_words(streamed.inbox_view(machine)),
-              legacy.inbox(machine))
+              legacy.inbox_view(machine).to_vector())
         << "machine " << machine;
   }
   EXPECT_EQ(streamed.metrics().total_words, legacy.metrics().total_words);
@@ -324,7 +303,6 @@ TEST_P(MessagePlane, OutboxInterleavesWithSharedSplices) {
   e.exchange();
   EXPECT_EQ(view_words(e.inbox_view(0)),
             (std::vector<Word>{1, 2, 100, 101, 3, 200, 4}));
-  EXPECT_EQ(e.inbox(0), view_words(e.inbox_view(0)));
 }
 
 /// Randomized coupling of the streamed-outbox staging against the legacy
@@ -405,9 +383,9 @@ TEST_P(StagingCoupling, RandomizedRunStreamsMatchPerWordPush) {
     ASSERT_EQ(a.violations, b.violations) << "round " << round;
     for (std::size_t machine = 0; machine < kMachines; ++machine) {
       const InboxView view = streamed.inbox_view(machine);
-      ASSERT_EQ(view_words(view), legacy.inbox(machine))
+      ASSERT_EQ(view_words(view), legacy.inbox_view(machine).to_vector())
           << "round " << round << " machine " << machine;
-      ASSERT_EQ(view.size(), legacy.inbox(machine).size());
+      ASSERT_EQ(view.size(), legacy.inbox_view(machine).size());
     }
   }
 }
@@ -476,7 +454,8 @@ TEST(MessagePlaneConfig, DenseMachineLimitSelectsRepresentation) {
     e.push_broadcast(1, std::vector<std::size_t>{0},
                      std::vector<Word>{99});
     e.exchange();
-    EXPECT_EQ(e.inbox(0), (std::vector<Word>{11, 99, 22})) << limit;
+    EXPECT_EQ(e.inbox_view(0).to_vector(), (std::vector<Word>{11, 99, 22}))
+        << limit;
   }
 }
 

@@ -20,7 +20,7 @@ TEST(Engine, DeliversInSenderOrder) {
   e.push(1, 0, Word{11});
   e.push(1, 0, Word{12});
   e.exchange();
-  const auto& in = e.inbox(0);
+  const auto in = e.inbox_view(0).to_vector();
   ASSERT_EQ(in.size(), 3U);
   EXPECT_EQ(in[0], 11U);  // sender 1 before sender 2
   EXPECT_EQ(in[1], 12U);
@@ -40,7 +40,7 @@ TEST(Engine, SpanPush) {
   const std::vector<Word> payload{1, 2, 3};
   e.push(0, 1, payload);
   e.exchange();
-  EXPECT_EQ(e.inbox(1).size(), 3U);
+  EXPECT_EQ(e.inbox_view(1).size(), 3U);
 }
 
 TEST(Engine, StrictSendOverflowThrows) {
@@ -64,7 +64,8 @@ TEST(Engine, NonStrictCountsViolations) {
   for (int i = 0; i < 6; ++i) e.push(0, 1, Word{0});
   e.exchange();
   EXPECT_GE(e.metrics().violations, 1U);
-  EXPECT_EQ(e.inbox(1).size(), 6U);  // still delivered for observability
+  // Still delivered for observability.
+  EXPECT_EQ(e.inbox_view(1).size(), 6U);
 }
 
 TEST(Engine, PeakMetricsTrack) {
@@ -104,9 +105,9 @@ TEST(Engine, LargeClusterFlatPathKeepsInboxContract) {
   e.push(2, 0, span);
   e.push(2, 5, Word{77});
   e.exchange();
-  EXPECT_EQ(e.inbox(0),
+  EXPECT_EQ(e.inbox_view(0).to_vector(),
             (std::vector<Word>{11, 12, 21, 22, 23, 99}));
-  EXPECT_EQ(e.inbox(5), (std::vector<Word>{77}));
+  EXPECT_EQ(e.inbox_view(5).to_vector(), (std::vector<Word>{77}));
   EXPECT_EQ(e.metrics().rounds, 1U);
   EXPECT_EQ(e.metrics().max_sent_words, 4U);      // machine 2 sent 4
   EXPECT_EQ(e.metrics().max_received_words, 6U);  // machine 0 received 6
@@ -123,7 +124,8 @@ TEST(Engine, LargeClusterFlatPathKeepsInboxContract) {
   }
   e.exchange();
   for (const std::size_t to : {0UL, 1UL, 7UL, 599UL}) {
-    EXPECT_EQ(e.inbox(to), expected[to]) << "machine " << to;
+    EXPECT_EQ(e.inbox_view(to).to_vector(), expected[to])
+        << "machine " << to;
   }
   EXPECT_EQ(e.metrics().rounds, 2U);
   EXPECT_EQ(e.metrics().max_sent_words, 3 * m);
@@ -138,8 +140,8 @@ TEST(Engine, LargeClusterStrictOverflowStillThrows) {
 TEST(Broadcast, SmallPayloadOneRound) {
   Engine e = small_engine(4, 64);
   const std::vector<Word> payload{42, 43};
-  const auto out = broadcast(e, 1, payload);
-  EXPECT_EQ(out, payload);
+  const auto out = broadcast_view(e, 1, payload);
+  EXPECT_EQ(std::vector<Word>(out.begin(), out.end()), payload);
   EXPECT_EQ(e.metrics().rounds, 1U);  // fanout covers all machines
 }
 
@@ -149,8 +151,8 @@ TEST(Broadcast, LargePayloadUsesRelayTree) {
   Engine e = small_engine(8, 64);
   std::vector<Word> payload(32);
   std::iota(payload.begin(), payload.end(), 0);
-  const auto out = broadcast(e, 0, payload);
-  EXPECT_EQ(out, payload);
+  const auto out = broadcast_view(e, 0, payload);
+  EXPECT_EQ(std::vector<Word>(out.begin(), out.end()), payload);
   EXPECT_EQ(e.metrics().rounds, 2U);
   EXPECT_EQ(e.metrics().violations, 0U);
 }
@@ -158,13 +160,14 @@ TEST(Broadcast, LargePayloadUsesRelayTree) {
 TEST(Broadcast, OversizedPayloadThrows) {
   Engine e = small_engine(2, 8);
   std::vector<Word> payload(9);
-  EXPECT_THROW(broadcast(e, 0, payload), CapacityError);
+  EXPECT_THROW(broadcast_view(e, 0, payload), CapacityError);
 }
 
 TEST(Broadcast, NonRootOrigin) {
   Engine e = small_engine(5, 64);
   const std::vector<Word> payload{7};
-  EXPECT_EQ(broadcast(e, 3, payload), payload);
+  const auto out = broadcast_view(e, 3, payload);
+  EXPECT_EQ(std::vector<Word>(out.begin(), out.end()), payload);
 }
 
 TEST(GatherTo, ConcatenatesInMachineOrder) {

@@ -96,7 +96,7 @@ void print_kv(const char* key, std::size_t value) {
   std::printf("%s\t%zu\n", key, value);
 }
 
-void print_fault_metrics(const mpc::Metrics& m) {
+void print_fault_metrics(const fault::FaultMetrics& m) {
   print_kv("faults_injected", m.faults_injected);
   print_kv("rounds_replayed", m.rounds_replayed);
   print_kv("words_resent", m.words_resent);
@@ -111,30 +111,7 @@ void print_fault_metrics(const mpc::Metrics& m) {
   print_kv("scrub_passes", m.scrub_passes);
 }
 
-void print_fault_metrics(const cclique::Metrics& m) {
-  print_kv("faults_injected", m.faults_injected);
-  print_kv("rounds_replayed", m.rounds_replayed);
-  print_kv("words_resent", m.words_resent);
-  print_kv("checkpoint_bytes", m.checkpoint_bytes);
-  print_kv("corruptions_injected", m.corruptions_injected);
-  print_kv("corruptions_detected", m.corruptions_detected);
-  print_kv("words_retransmitted", m.words_retransmitted);
-  print_kv("store_corruptions_injected", m.store_corruptions_injected);
-  print_kv("store_corruptions_detected", m.store_corruptions_detected);
-  print_kv("store_words_repaired", m.store_words_repaired);
-  print_kv("checkpoint_fallbacks", m.checkpoint_fallbacks);
-  print_kv("scrub_passes", m.scrub_passes);
-}
-
-void print_disk_metrics(const mpc::Metrics& m) {
-  print_kv("disk_checkpoints_written", m.disk_checkpoints_written);
-  print_kv("disk_checkpoint_words", m.disk_checkpoint_words);
-  print_kv("resume_loads", m.resume_loads);
-  print_kv("disk_fallbacks", m.disk_fallbacks);
-  print_kv("faults_skipped_on_resume", m.faults_skipped_on_resume);
-}
-
-void print_disk_metrics(const cclique::Metrics& m) {
+void print_disk_metrics(const fault::FaultMetrics& m) {
   print_kv("disk_checkpoints_written", m.disk_checkpoints_written);
   print_kv("disk_checkpoint_words", m.disk_checkpoint_words);
   print_kv("resume_loads", m.resume_loads);
