@@ -74,7 +74,7 @@ BENCHMARK(E06_PhasesVsN)
     // the per-phase frontier loops dominate (what the ActiveSet port
     // targets), small enough for a PR-gate budget.
     ->Arg(1 << 18)
-    // 2^20 runs ~1024 simulation machines (flat exchange path) and the
+    // 2^20 runs ~1024 simulation machines and the
     // announce() gather+broadcast traffic dominates — the broadcast-heavy
     // row the zero-copy message plane is tuned against.
     ->Arg(1 << 20)

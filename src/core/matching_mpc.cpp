@@ -663,11 +663,11 @@ class MatchingMpcRun {
 
   /// Streams `n` packed records through per-sender buckets so each
   /// sender's batch drains sequentially through one outbox (the
-  /// flat-staging detour of the distribute records and freeze reports):
-  /// per-sender order is the iteration order, exactly as a direct push
-  /// loop would stage, so inboxes and Metrics are unchanged. `sender_of`
-  /// and `packed_of` are indexed by item; `append` unpacks one record
-  /// into the sender's outbox.
+  /// distribute records and freeze reports): per-sender order is the
+  /// iteration order, exactly as a direct push loop would stage, so
+  /// inboxes and Metrics are unchanged. `sender_of` and `packed_of` are
+  /// indexed by item; `append` unpacks one record into the sender's
+  /// outbox.
   template <typename SenderOf, typename PackedOf, typename AppendFn>
   void stream_by_sender(std::size_t n, SenderOf&& sender_of,
                         PackedOf&& packed_of, AppendFn&& append) {
@@ -839,16 +839,11 @@ class MatchingMpcRun {
     matched_uppers_.clear();
     std::size_t frontier_edges = 0;
     const bool byte_exact = m <= 256;
-    // Flat staging rewards sender-sequential bursts (runs stage into each
-    // sender's contiguous stream), so the edge/record producers below take
-    // a collect-then-stream detour that groups traffic by sender — the
-    // scattered direct pushes would otherwise hop across two cache lines
-    // per word over `machines_` senders' staging tails. On the dense path
-    // the per-pair boxes make the direct push optimal and the detour is
-    // pure overhead. Both variants stage identical per-sender streams
-    // word for word — the choice, like the engine's own representation
-    // choice, is observable only as wall-clock.
-    const bool streamed_detour = !engine_->dense_staging_active();
+    // The engine's staging rewards sender-sequential bursts (runs stage
+    // into each sender's contiguous stream), so the edge/record producers
+    // below collect first and then stream grouped by sender — scattered
+    // direct pushes would hop across two cache lines per word over
+    // `machines_` senders' staging tails.
     mpc::ExecutionBackend& backend = engine_->backend();
     if (backend.parallel()) {
       // Parallel distribute scan. A sequential pre-pass collects every
@@ -871,7 +866,6 @@ class MatchingMpcRun {
       if (slot_pairs_.size() < slots) slot_pairs_.resize(slots);
       slot_counts_.assign(slots * m, 0);
       slot_frontier_.assign(slots, 0);
-      if (!streamed_detour) distribute_shards_.reset(slots, machines_);
       backend.run_chunks(
           0, k, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
             auto& matched = slot_matched_[slot];
@@ -881,7 +875,6 @@ class MatchingMpcRun {
             std::size_t* medges = slot_counts_.data() + slot * m;
             std::size_t fe = 0;
             for (std::size_t i = lo; i < hi; ++i) {
-              const VertexId v = snapshot[i];
               const std::uint32_t mv = machine_of_[i];
               const auto mv8 = static_cast<std::uint8_t>(mv);
               const auto uppers = upper_spans_[i];
@@ -890,13 +883,7 @@ class MatchingMpcRun {
                 const VertexId u = uppers[idx];
                 if (phase_machine8_[u] != mv8) continue;
                 if (!byte_exact && phase_machine_[u] != mv) continue;
-                if (streamed_detour) {
-                  matched.emplace_back(static_cast<VertexId>(i), u);
-                } else {
-                  distribute_shards_.add(
-                      slot, home_[v], mv,
-                      (static_cast<Word>(v) << 32) | u);
-                }
+                matched.emplace_back(static_cast<VertexId>(i), u);
                 if (phase_can_freeze) {
                   pairs.emplace_back(
                       static_cast<VertexId>(i),
@@ -917,16 +904,6 @@ class MatchingMpcRun {
         local_pairs_.insert(local_pairs_.end(), slot_pairs_[s].begin(),
                             slot_pairs_[s].end());
       }
-      if (!streamed_detour) {
-        distribute_shards_.drain(
-            backend, [&](std::uint32_t sender,
-                         std::span<const mpc::StageRecord> records) {
-              mpc::Outbox ob = engine_->outbox(sender);
-              for (const mpc::StageRecord& rec : records) {
-                ob.append(rec.to, rec.word);
-              }
-            });
-      }
     } else {
       for (std::size_t i = 0; i < k; ++i) {
         const VertexId v = snapshot[i];
@@ -938,14 +915,10 @@ class MatchingMpcRun {
           const VertexId u = uppers[idx];
           if (phase_machine8_[u] != mv8) continue;
           if (!byte_exact && phase_machine_[u] != mv) continue;
-          if (streamed_detour) {
-            // Match rate is ~1/m per arc: matches land in a flat sequential
-            // scratch so the filter scan stays free of staging machinery,
-            // and are streamed as per-vertex runs right below.
-            matched_uppers_.emplace_back(static_cast<VertexId>(i), u);
-          } else {
-            engine_->push(home_[v], mv, (static_cast<Word>(v) << 32) | u);
-          }
+          // Match rate is ~1/m per arc: matches land in a flat sequential
+          // scratch so the filter scan stays free of staging machinery,
+          // and are streamed as per-vertex runs right below.
+          matched_uppers_.emplace_back(static_cast<VertexId>(i), u);
           if (phase_can_freeze) {
             local_pairs_.emplace_back(
                 static_cast<VertexId>(i),
@@ -972,30 +945,23 @@ class MatchingMpcRun {
       } while (idx < matched_uppers_.size() &&
                matched_uppers_[idx].first == i);
     }
-    // The per-vertex records. On the flat path they are bucketed by home
-    // first so each home's batch streams through one outbox in a single
-    // sequential burst — the engine-side staging writes stay
-    // cache-resident instead of hopping across a random sender's buffers
-    // per record. Bucket order preserves each home's snapshot order, so
-    // every sender's stream (and therefore every inbox and every Metrics
-    // field) is identical to the plain per-record push loop. (remap()
-    // assigns dense ids in ascending snapshot order, so the dense index
-    // of snapshot[i] is i — no lookup needed.)
-    if (streamed_detour) {
-      stream_by_sender(
-          k, [&](std::size_t i) { return home_[snapshot[i]]; },
-          [&](std::size_t i) {
-            return (static_cast<Word>(machine_of_[i]) << 32) | snapshot[i];
-          },
-          [](mpc::Outbox& ob, Word rec) {
-            ob.append(static_cast<std::size_t>(rec >> 32),
-                      rec & 0xffffffffULL);
-          });
-    } else {
-      for (std::size_t i = 0; i < k; ++i) {
-        engine_->push(home_[snapshot[i]], machine_of_[i], snapshot[i]);
-      }
-    }
+    // The per-vertex records, bucketed by home first so each home's batch
+    // streams through one outbox in a single sequential burst — the
+    // engine-side staging writes stay cache-resident instead of hopping
+    // across a random sender's buffers per record. Bucket order preserves
+    // each home's snapshot order, so every sender's stream (and therefore
+    // every inbox and every Metrics field) is identical to a plain
+    // per-record push loop. (remap() assigns dense ids in ascending
+    // snapshot order, so the dense index of snapshot[i] is i — no lookup
+    // needed.)
+    stream_by_sender(
+        k, [&](std::size_t i) { return home_[snapshot[i]]; },
+        [&](std::size_t i) {
+          return (static_cast<Word>(machine_of_[i]) << 32) | snapshot[i];
+        },
+        [](mpc::Outbox& ob, Word rec) {
+          ob.append(static_cast<std::size_t>(rec >> 32), rec & 0xffffffffULL);
+        });
     engine_->exchange();
 
     std::size_t max_local_edges = 0;
@@ -1112,29 +1078,21 @@ class MatchingMpcRun {
     if (!phase_can_freeze) t_ += iters;
 
     // Machines report the freeze decisions; they become common knowledge.
-    // Same sender-grouping detour as the records above: on big flat
-    // clusters the reports are bucketed by their simulation machine so
-    // each sender's batch streams sequentially (identical per-sender
-    // order and Metrics either way).
-    if (streamed_detour) {
-      stream_by_sender(
-          frozen_this_phase_.size(),
-          [&](std::size_t i) {
-            return machine_of_[active_.dense_index(frozen_this_phase_[i].first)];
-          },
-          [&](std::size_t i) {
-            const auto& [v, tf] = frozen_this_phase_[i];
-            return (static_cast<Word>(v) << 32) | tf;
-          },
-          [this](mpc::Outbox& ob, Word rec) {
-            ob.append(home_[static_cast<VertexId>(rec >> 32)], rec);
-          });
-    } else {
-      for (const auto& [v, tf] : frozen_this_phase_) {
-        engine_->push(machine_of_[active_.dense_index(v)], home_[v],
-                      (static_cast<Word>(v) << 32) | tf);
-      }
-    }
+    // Same sender grouping as the records above: the reports are bucketed
+    // by their simulation machine so each sender's batch streams
+    // sequentially (the per-sender order of a plain push loop).
+    stream_by_sender(
+        frozen_this_phase_.size(),
+        [&](std::size_t i) {
+          return machine_of_[active_.dense_index(frozen_this_phase_[i].first)];
+        },
+        [&](std::size_t i) {
+          const auto& [v, tf] = frozen_this_phase_[i];
+          return (static_cast<Word>(v) << 32) | tf;
+        },
+        [this](mpc::Outbox& ob, Word rec) {
+          ob.append(home_[static_cast<VertexId>(rec >> 32)], rec);
+        });
     engine_->exchange();
 
     // The phase's freezes become visible to the home-side load sums below:
@@ -1426,13 +1384,12 @@ class MatchingMpcRun {
   // Parallel-backend scratch (engine_->backend().parallel() only): cached
   // active-upper spans from the sequential pre-pass, slot-private
   // distribute collections (merged slot-ascending), and the sharded
-  // staging for the dense-path distribute pushes and announce records.
+  // staging for the announce records.
   std::vector<std::span<const VertexId>> upper_spans_;
   std::vector<std::vector<std::pair<std::uint32_t, VertexId>>> slot_matched_;
   std::vector<std::vector<std::pair<VertexId, VertexId>>> slot_pairs_;
   std::vector<std::size_t> slot_counts_;
   std::vector<std::size_t> slot_frontier_;
-  mpc::StageShards distribute_shards_;
   mpc::StageShards announce_shards_;
   // Persistent sender-bucket staging for the distribute records and the
   // freeze reports (one vector per machine, touched-only clearing; the

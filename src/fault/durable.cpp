@@ -16,11 +16,12 @@ using Word = std::uint64_t;
 
 /// The byte string "MPCGCKPT" read as one little-endian word.
 constexpr Word kMagic = 0x54504b434743504dULL;
-/// 2: engine Metrics (memcpy'd into "__engine" sections and
-/// integral_matching's outer cursor) lead with fault::FaultMetrics, and the
-/// harness's crash count trails each "__engine" section.  A version-1 file
-/// is rejected, never misread.
-constexpr Word kVersion = 2;
+/// 3: engine Metrics (memcpy'd into "__engine" sections and
+/// integral_matching's outer cursor) lead with fault::FaultMetrics, the
+/// harness's crash count trails each "__engine" section, and the MPC
+/// engine's section no longer carries the two exchange-representation
+/// words that version 2 had.  An older file is rejected, never misread.
+constexpr Word kVersion = 3;
 
 /// Guard rails for parsing garbage: any well-formed file the library
 /// writes stays far below these.

@@ -8,7 +8,7 @@
 namespace mpcg::fault {
 
 BitFlips pick_flips(std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                    std::size_t words, bool dedup) {
+                    std::size_t words) {
   BitFlips f;
   if (words == 0) return f;
   const std::size_t draws = 1 + mix64(a, b, c * 8 + 5) % 3;
@@ -16,7 +16,7 @@ BitFlips pick_flips(std::uint64_t a, std::uint64_t b, std::uint64_t c,
     const std::size_t word = mix64(a, b * 8 + d, c * 8 + 6) % words;
     const auto bit = static_cast<unsigned>(mix64(a, b * 8 + d, c * 8 + 7) % 64);
     bool fresh = true;
-    for (std::size_t k = 0; dedup && k < f.count; ++k) {
+    for (std::size_t k = 0; k < f.count; ++k) {
       fresh &= !(f.word[k] == word && f.bit[k] == bit);
     }
     if (!fresh) continue;

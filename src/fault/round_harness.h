@@ -123,19 +123,17 @@ struct FaultMetrics {
 
 /// The bit flips of one injected corruption: 1-3 (word, bit) positions
 /// over a target of `words` words, drawn statelessly from mix64(a, b, c)
-/// like every other random decision in the library.  With `dedup`, a draw
-/// that repeats an earlier one is dropped: an even number of flips of one
-/// bit would cancel, and every injected corruption must genuinely differ
-/// from the pristine words (detected == injected whenever integrity is
-/// on).  The MPC dense matrix, which no checksum covers, flips every draw.
+/// like every other random decision in the library.  A draw that repeats
+/// an earlier one is dropped: an even number of flips of one bit would
+/// cancel, and every injected corruption must genuinely differ from the
+/// pristine words (detected == injected whenever integrity is on).
 struct BitFlips {
   std::size_t count = 0;
   std::size_t word[3] = {};
   unsigned bit[3] = {};
 };
 [[nodiscard]] BitFlips pick_flips(std::uint64_t a, std::uint64_t b,
-                                  std::uint64_t c, std::size_t words,
-                                  bool dedup = true);
+                                  std::uint64_t c, std::size_t words);
 
 /// Bounds-checked word cursor over an engine's durable "__engine" section;
 /// running off the end throws the typed CheckpointError.

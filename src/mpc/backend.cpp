@@ -1,9 +1,18 @@
 #include "mpc/backend.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace mpcg::mpc {
 
 ParallelBackend::ParallelBackend(std::size_t threads)
     : nthreads_(threads < 2 ? 2 : threads) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument(
+        "ParallelBackend: " + std::to_string(threads) +
+        " threads requested, at most " + std::to_string(kMaxThreads) +
+        " allowed");
+  }
   pool_.reserve(nthreads_ - 1);
   for (std::size_t i = 0; i + 1 < nthreads_; ++i) {
     pool_.emplace_back([this] { worker_loop(); });

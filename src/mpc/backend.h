@@ -102,6 +102,13 @@ class SequentialBackend final : public ExecutionBackend {
 /// depends on the scheduler granting the workers a core (this box has one).
 class ParallelBackend final : public ExecutionBackend {
  public:
+  /// Widest pool accepted (caller included). Every width is a count of OS
+  /// threads, so an absurd value (a typo such as 100000) must fail before
+  /// any thread starts.
+  static constexpr std::size_t kMaxThreads = 256;
+
+  /// Throws std::invalid_argument, starting no thread, when `threads`
+  /// exceeds kMaxThreads.
   explicit ParallelBackend(std::size_t threads);
   ~ParallelBackend() override;
 
@@ -148,7 +155,8 @@ class ParallelBackend final : public ExecutionBackend {
 };
 
 /// threads <= 1 -> SequentialBackend (the reference); otherwise a pool of
-/// `threads` (caller included).
+/// `threads` (caller included; more than ParallelBackend::kMaxThreads
+/// throws).
 std::unique_ptr<ExecutionBackend> make_backend(std::size_t threads);
 
 /// One staged word destined for an engine outbox: collect-then-drain

@@ -58,25 +58,10 @@ Engine::Engine(Config config) : config_(config) {
   }
   backend_ = make_backend(config_.threads);
   const std::size_t m = config_.num_machines;
-  // Adaptive mode starts from the same shape the static rule would pick at
-  // the tuned default, then re-decides per flush (see adapt_path).
-  const std::size_t start_limit =
-      config_.dense_machine_limit == Config::kAdaptive
-          ? kAdaptiveDenseCap
-          : config_.dense_machine_limit;
-  // Integrity checking pins the flat representation: its checksums are
-  // defined over the contiguous per-sender wire stream, which the dense
-  // matrix never materializes (metrics are representation-invariant, so
-  // the pin shows up only as wall-clock).
-  dense_active_ = !config_.integrity && m <= start_limit;
-  if (dense_active_) {
-    boxes_.assign(m * m, {});
-  } else {
-    out_tos_.assign(m, {});
-    out_counts_.assign(m, {});
-    out_words_.assign(m, {});
-    out_open_to_.assign(m, RunTag::kNoDest);
-  }
+  out_tos_.assign(m, {});
+  out_counts_.assign(m, {});
+  out_words_.assign(m, {});
+  out_open_to_.assign(m, RunTag::kNoDest);
   if (config_.integrity) out_csums_.assign(m, Fnv::kOffset);
   inbox_.assign(m, {});
   in_segs_.assign(m, {});
@@ -101,44 +86,6 @@ void Engine::check_machine(std::size_t machine) const {
 void Engine::throw_bad_machine(std::size_t machine) const {
   check_machine(machine);
   throw std::out_of_range("Engine: unreachable");
-}
-
-void Engine::set_path(bool dense) {
-  if (dense == dense_active_) return;
-  const std::size_t m = config_.num_machines;
-  if (dense && boxes_.empty()) boxes_.assign(m * m, {});
-  if (!dense && out_tos_.empty()) {
-    out_tos_.assign(m, {});
-    out_counts_.assign(m, {});
-    out_words_.assign(m, {});
-    out_open_to_.assign(m, RunTag::kNoDest);
-  }
-  dense_active_ = dense;
-}
-
-void Engine::adapt_path(std::size_t words, std::size_t runs) {
-  if (config_.dense_machine_limit != Config::kAdaptive) return;
-  if (config_.integrity) return;  // checksums pin the flat wire stream
-  const std::size_t m = config_.num_machines;
-  if (m > kAdaptiveDenseCap) return;  // matrix storage/scan out of budget
-  if (words == 0) return;             // no unicast traffic: no signal
-  // Bulky per-pair traffic amortizes the O(m^2) matrix scan and enjoys the
-  // pre-sorted bulk-copy delivery; scattered short runs pay the flat
-  // path's per-run cost anyway but skip the scan. Thresholds validated
-  // with tools/bench_exchange_crossover (--adaptive column).
-  const bool want_dense = words >= 8 * runs && 2 * words >= m * m;
-  // Two-flush hysteresis: a single odd-shaped round (a driver alternating
-  // bulk collectives with scattered per-edge rounds) must not thrash the
-  // representation — the flip waits for two consecutive flushes that agree
-  // against the active path.
-  if (want_dense == dense_active_) {
-    adapt_streak_ = 0;
-    return;
-  }
-  if (++adapt_streak_ >= 2) {
-    adapt_streak_ = 0;
-    set_path(want_dense);
-  }
 }
 
 void Engine::push(std::size_t from, std::size_t to,
@@ -168,12 +115,9 @@ void Engine::push_broadcast(std::size_t from,
   for (const std::size_t to : dests) {
     check_machine(to);
     if (empty) continue;  // an empty payload delivers nothing, like push({})
-    const std::uint64_t seq =
-        dense_active_ ? boxes_[from * config_.num_machines + to].size()
-                      : out_words_[from].size();
     shared_sends_.push_back(SharedSend{static_cast<std::uint32_t>(from),
                                        static_cast<std::uint32_t>(to), payload,
-                                       seq});
+                                       out_words_[from].size()});
   }
 }
 
@@ -191,11 +135,9 @@ void Engine::push_gather(std::size_t from, std::size_t to,
   check_machine(to);
   if (words.empty()) return;
   const PayloadId pid = stage_payload(words);
-  const std::uint64_t seq =
-      dense_active_ ? boxes_[from * config_.num_machines + to].size()
-                    : out_words_[from].size();
   shared_sends_.push_back(SharedSend{static_cast<std::uint32_t>(from),
-                                     static_cast<std::uint32_t>(to), pid, seq});
+                                     static_cast<std::uint32_t>(to), pid,
+                                     out_words_[from].size()});
 }
 
 void Engine::check_budget(std::size_t machine, std::size_t words,
@@ -256,18 +198,10 @@ void Engine::deliver() {
     // Payloads staged but never pushed die here, per the lifetime contract.
     staged_payloads_.clear();
     staged_digests_.clear();
-    if (dense_active_) {
-      if (backend_->parallel()) {
-        exchange_parallel_dense(m);
-      } else {
-        exchange_plain_dense(m);
-      }
+    if (backend_->parallel()) {
+      exchange_parallel_flat(m);
     } else {
-      if (backend_->parallel()) {
-        exchange_parallel_flat(m);
-      } else {
-        exchange_plain_flat(m);
-      }
+      exchange_plain_flat(m);
     }
   } else {
     // Shared-payload rounds splice store-aliasing segments between unicast
@@ -278,47 +212,6 @@ void Engine::deliver() {
   }
   if (config_.audit) finish_audit();
   ++metrics_.rounds;
-}
-
-void Engine::exchange_plain_dense(std::size_t m) {
-  // Dense path: appends pre-sorted the words by (sender, receiver);
-  // delivery is pure bulk copies.
-  std::size_t flush_words = 0;
-  std::size_t flush_runs = 0;
-  for (std::size_t from = 0; from < m; ++from) {
-    std::size_t sent = 0;
-    for (std::size_t to = 0; to < m; ++to) {
-      const std::size_t box_words = boxes_[from * m + to].size();
-      sent += box_words;
-      flush_runs += box_words != 0;
-    }
-    flush_words += sent;
-    metrics_.max_sent_words = std::max(metrics_.max_sent_words, sent);
-    metrics_.total_words += sent;
-    check_budget(from, sent, "sent");
-  }
-  for (std::size_t to = 0; to < m; ++to) {
-    auto& in = inbox_[to];
-    in.clear();
-    std::size_t received = 0;
-    for (std::size_t from = 0; from < m; ++from) {
-      received += boxes_[from * m + to].size();
-    }
-    in.reserve(received);
-    for (std::size_t from = 0; from < m; ++from) {
-      auto& box = boxes_[from * m + to];
-      in.insert(in.end(), box.begin(), box.end());
-      box.clear();
-    }
-    recv_count_[to] = received;  // received_words() reads this (fault path)
-    metrics_.max_received_words = std::max(metrics_.max_received_words,
-                                           received);
-    check_budget(to, received, "received");
-    // Whatever a machine received is resident until it processes it.
-    metrics_.peak_storage_words = std::max(metrics_.peak_storage_words,
-                                           received);
-  }
-  adapt_path(flush_words, flush_runs);
 }
 
 void Engine::deliver_flat_sender(std::size_t from, std::size_t m,
@@ -391,12 +284,9 @@ void Engine::clear_sender_staging(std::size_t from) {
 }
 
 void Engine::exchange_plain_flat(std::size_t m) {
-  // Flat path. Sending side first.
-  std::size_t flush_words = 0;
-  std::size_t flush_runs = 0;
+  // Sending side first.
   for (std::size_t from = 0; from < m; ++from) {
     const std::size_t sent = out_words_[from].size();
-    flush_words += sent;
     metrics_.max_sent_words = std::max(metrics_.max_sent_words, sent);
     metrics_.total_words += sent;
     check_budget(from, sent, "sent");
@@ -410,7 +300,6 @@ void Engine::exchange_plain_flat(std::size_t m) {
                  [&](std::size_t to, std::size_t count) {
                    recv_count_[to] += count;
                  });
-    flush_runs += out_tos_[from].size();
   }
   for (std::size_t to = 0; to < m; ++to) {
     inbox_[to].clear();
@@ -429,14 +318,12 @@ void Engine::exchange_plain_flat(std::size_t m) {
     metrics_.peak_storage_words = std::max(metrics_.peak_storage_words,
                                            received);
   }
-  adapt_path(flush_words, flush_runs);
 }
 
 void Engine::exchange_parallel_flat(std::size_t m) {
-  // Slot-sharded flat flush (backend().parallel() only). Four phases:
+  // Slot-sharded flush (backend().parallel() only). Four phases:
   //   A (parallel)   per-slot receiver histograms over each slot's
-  //                  contiguous ascending sender range, plus per-slot run
-  //                  totals;
+  //                  contiguous ascending sender range;
   //   B (sequential) combine the histograms in ascending slot order into
   //                  recv_count_ and per-(slot, receiver) write bases —
   //                  the positional image of the sequential
@@ -444,38 +331,30 @@ void Engine::exchange_parallel_flat(std::size_t m) {
   //   C (parallel)   each slot bulk-copies its senders' runs to its
   //                  precomputed positions (disjoint across slots by
   //                  construction) and clears its senders' staging;
-  //   D (sequential) receiving-side budget checks, metrics, and the
-  //                  adaptive-path vote, ascending as always.
+  //   D (sequential) receiving-side budget checks and metrics, ascending
+  //                  as always.
   // The delivered inboxes are position-identical to exchange_plain_flat
   // for any thread count: slots are ascending sender ranges, each slot
   // writes its runs in sender-then-push order, and the bases concatenate
   // the slots in order.
-  std::size_t flush_words = 0;
   for (std::size_t from = 0; from < m; ++from) {
     const std::size_t sent = out_words_[from].size();
-    flush_words += sent;
     metrics_.max_sent_words = std::max(metrics_.max_sent_words, sent);
     metrics_.total_words += sent;
     check_budget(from, sent, "sent");
   }
   const std::size_t slots = backend_->threads();
   slot_count_.assign(slots * m, 0);
-  slot_runs_.assign(slots, 0);
   backend_->run_chunks(
       0, m, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
         std::size_t* count = slot_count_.data() + slot * m;
-        std::size_t runs = 0;
         for (std::size_t from = lo; from < hi; ++from) {
           for_each_run(out_tos_[from], out_counts_[from].data(),
                        [&](std::size_t to, std::size_t n) {
                          count[to] += n;
                        });
-          runs += out_tos_[from].size();
         }
-        slot_runs_[slot] = runs;
       });
-  std::size_t flush_runs = 0;
-  for (std::size_t s = 0; s < slots; ++s) flush_runs += slot_runs_[s];
   slot_cursor_.resize(slots * m);
   for (std::size_t to = 0; to < m; ++to) {
     std::size_t acc = 0;
@@ -511,54 +390,6 @@ void Engine::exchange_parallel_flat(std::size_t m) {
     metrics_.peak_storage_words = std::max(metrics_.peak_storage_words,
                                            received);
   }
-  adapt_path(flush_words, flush_runs);
-}
-
-void Engine::exchange_parallel_dense(std::size_t m) {
-  // Dense path, receiver-parallel: each receiver owns its column of the
-  // box matrix (reads it, appends it, clears it), so receivers shard with
-  // no write sharing at all. Sender metrics stay sequential (O(m^2) box
-  // scans are the dense path's cost on every backend); the receiving-side
-  // budget checks move after the parallel region, still ascending, so the
-  // non-strict violation tally and all metrics match the sequential path.
-  std::size_t flush_words = 0;
-  std::size_t flush_runs = 0;
-  for (std::size_t from = 0; from < m; ++from) {
-    std::size_t sent = 0;
-    for (std::size_t to = 0; to < m; ++to) {
-      const std::size_t box_words = boxes_[from * m + to].size();
-      sent += box_words;
-      flush_runs += box_words != 0;
-    }
-    flush_words += sent;
-    metrics_.max_sent_words = std::max(metrics_.max_sent_words, sent);
-    metrics_.total_words += sent;
-    check_budget(from, sent, "sent");
-  }
-  backend_->parallel_for_machines(m, [&](std::size_t to) {
-    auto& in = inbox_[to];
-    in.clear();
-    std::size_t received = 0;
-    for (std::size_t from = 0; from < m; ++from) {
-      received += boxes_[from * m + to].size();
-    }
-    in.reserve(received);
-    for (std::size_t from = 0; from < m; ++from) {
-      auto& box = boxes_[from * m + to];
-      in.insert(in.end(), box.begin(), box.end());
-      box.clear();
-    }
-    recv_count_[to] = received;
-  });
-  for (std::size_t to = 0; to < m; ++to) {
-    const std::size_t received = recv_count_[to];
-    metrics_.max_received_words = std::max(metrics_.max_received_words,
-                                           received);
-    check_budget(to, received, "received");
-    metrics_.peak_storage_words = std::max(metrics_.peak_storage_words,
-                                           received);
-  }
-  adapt_path(flush_words, flush_runs);
 }
 
 std::vector<std::span<const Word>>& Engine::touch_segs(std::size_t to) {
@@ -567,7 +398,7 @@ std::vector<std::span<const Word>>& Engine::touch_segs(std::size_t to) {
 }
 
 void Engine::deliver_pair_with_shared(std::size_t to,
-                                      std::span<const Word> box,
+                                      std::span<const Word> unicast,
                                       std::span<const SharedSend> sends) {
   // Interleave this pair's unicast words with its shared payloads at the
   // recorded splice offsets; payload segments alias the stored copy.
@@ -576,21 +407,22 @@ void Engine::deliver_pair_with_shared(std::size_t to,
   const std::size_t base = in.size();
   std::size_t cursor = 0;
   for (const SharedSend& s : sends) {
-    const std::size_t split =
-        std::min<std::size_t>(static_cast<std::size_t>(s.seq), box.size());
+    const std::size_t split = std::min<std::size_t>(
+        static_cast<std::size_t>(s.seq), unicast.size());
     if (split > cursor) {
-      in.insert(in.end(), box.begin() + static_cast<std::ptrdiff_t>(cursor),
-                box.begin() + static_cast<std::ptrdiff_t>(split));
+      in.insert(in.end(),
+                unicast.begin() + static_cast<std::ptrdiff_t>(cursor),
+                unicast.begin() + static_cast<std::ptrdiff_t>(split));
       segs.emplace_back(in.data() + base + cursor, split - cursor);
       cursor = split;
     }
     const auto& payload = delivered_payloads_[s.payload];
     segs.emplace_back(payload.data(), payload.size());
   }
-  if (box.size() > cursor) {
-    in.insert(in.end(), box.begin() + static_cast<std::ptrdiff_t>(cursor),
-              box.end());
-    segs.emplace_back(in.data() + base + cursor, box.size() - cursor);
+  if (unicast.size() > cursor) {
+    in.insert(in.end(), unicast.begin() + static_cast<std::ptrdiff_t>(cursor),
+              unicast.end());
+    segs.emplace_back(in.data() + base + cursor, unicast.size() - cursor);
   }
 }
 
@@ -622,48 +454,23 @@ void Engine::exchange_shared(std::size_t m) {
     shared_recv_[s.to] += len;
   }
 
-  const bool dense = dense_active_;
-
   // Sending side: unicast + shared, charged at full per-destination size.
   for (std::size_t from = 0; from < m; ++from) {
-    std::size_t sent = shared_sent_[from];
-    if (dense) {
-      for (std::size_t to = 0; to < m; ++to) {
-        sent += boxes_[from * m + to].size();
-      }
-    } else {
-      sent += out_words_[from].size();
-    }
+    const std::size_t sent = shared_sent_[from] + out_words_[from].size();
     metrics_.max_sent_words = std::max(metrics_.max_sent_words, sent);
     metrics_.total_words += sent;
     check_budget(from, sent, "sent");
   }
 
   // Unicast receive counts (for exact inbox reservation — segment spans
-  // alias the inbox buffers, so they must never reallocate mid-delivery).
-  // The same pass measures the flush's unicast shape for adapt_path; on
-  // the flat path it walks run descriptors, not words.
-  std::size_t flush_words = 0;
-  std::size_t flush_runs = 0;
+  // alias the inbox buffers, so they must never reallocate mid-delivery),
+  // walking run descriptors, not words.
   std::fill(recv_count_.begin(), recv_count_.end(), 0);
-  if (dense) {
-    for (std::size_t from = 0; from < m; ++from) {
-      for (std::size_t to = 0; to < m; ++to) {
-        const std::size_t box_words = boxes_[from * m + to].size();
-        recv_count_[to] += box_words;
-        flush_words += box_words;
-        flush_runs += box_words != 0;
-      }
-    }
-  } else {
-    for (std::size_t from = 0; from < m; ++from) {
-      flush_words += out_words_[from].size();
-      for_each_run(out_tos_[from], out_counts_[from].data(),
-                   [&](std::size_t to, std::size_t count) {
-                     recv_count_[to] += count;
-                   });
-      flush_runs += out_tos_[from].size();
-    }
+  for (std::size_t from = 0; from < m; ++from) {
+    for_each_run(out_tos_[from], out_counts_[from].data(),
+                 [&](std::size_t to, std::size_t count) {
+                   recv_count_[to] += count;
+                 });
   }
 
   // Receiving side metrics; register segment lists for machines that get
@@ -685,154 +492,125 @@ void Engine::exchange_shared(std::size_t m) {
   // sender-ascending.
   const std::size_t ns = sends.size();
   std::size_t send_idx = 0;
-  if (dense) {
-    for (std::size_t from = 0; from < m; ++from) {
-      for (std::size_t to = 0; to < m; ++to) {
-        auto& box = boxes_[from * m + to];
-        const std::size_t first = send_idx;
-        while (send_idx < ns && sends[send_idx].from == from &&
-               sends[send_idx].to == to) {
-          ++send_idx;
-        }
-        if (first == send_idx) {
-          if (box.empty()) continue;
-          const std::size_t base = inbox_[to].size();
-          inbox_[to].insert(inbox_[to].end(), box.begin(), box.end());
-          if (shared_recv_[to] > 0) {
-            in_segs_[to].emplace_back(inbox_[to].data() + base, box.size());
-          }
-        } else {
-          // Dense seq is already the within-pair splice offset.
-          deliver_pair_with_shared(
-              to, box,
-              std::span<const SharedSend>{sends.data() + first,
-                                          send_idx - first});
-        }
-        box.clear();
-      }
+  for (std::size_t from = 0; from < m; ++from) {
+    const auto& tos = out_tos_[from];
+    const std::uint32_t* counts = out_counts_[from].data();
+    const Word* words = out_words_[from].data();
+    const std::size_t nw = out_words_[from].size();
+    const std::size_t first = send_idx;
+    while (send_idx < ns && sends[send_idx].from == from) {
+      ++send_idx;
     }
-  } else {
-    for (std::size_t from = 0; from < m; ++from) {
-      const auto& tos = out_tos_[from];
-      const std::uint32_t* counts = out_counts_[from].data();
-      const Word* words = out_words_[from].data();
-      const std::size_t nw = out_words_[from].size();
-      const std::size_t first = send_idx;
-      while (send_idx < ns && sends[send_idx].from == from) {
-        ++send_idx;
+    if (first == send_idx) {
+      // No shared traffic from this sender: the plain run-length
+      // delivery, plus segment emission for receivers that need segment
+      // lists.
+      deliver_flat_sender(from, m, /*emit_segs=*/true);
+      continue;
+    }
+    if (nw == 0) {
+      // Broadcast-only sender (the relay-tree shape): no unicast words,
+      // every splice is trivially 0 — skip the counting sort and emit
+      // the payload segments directly, O(sends) instead of O(machines).
+      sender_sends_.assign(
+          sends.begin() + static_cast<std::ptrdiff_t>(first),
+          sends.begin() + static_cast<std::ptrdiff_t>(send_idx));
+      std::stable_sort(sender_sends_.begin(), sender_sends_.end(),
+                       [](const SharedSend& a, const SharedSend& b) {
+                         return a.to < b.to;
+                       });
+      for (const SharedSend& s : sender_sends_) {
+        const auto& payload = delivered_payloads_[s.payload];
+        in_segs_[s.to].emplace_back(payload.data(), payload.size());
       }
-      if (first == send_idx) {
-        // No shared traffic from this sender: the plain run-length
-        // delivery, plus segment emission for receivers that need segment
-        // lists.
-        deliver_flat_sender(from, m, /*emit_segs=*/true);
-        continue;
-      }
-      if (nw == 0) {
-        // Broadcast-only sender (the relay-tree shape): no unicast words,
-        // every splice is trivially 0 — skip the counting sort and emit
-        // the payload segments directly, O(sends) instead of O(machines).
-        sender_sends_.assign(
-            sends.begin() + static_cast<std::ptrdiff_t>(first),
-            sends.begin() + static_cast<std::ptrdiff_t>(send_idx));
-        std::stable_sort(sender_sends_.begin(), sender_sends_.end(),
-                         [](const SharedSend& a, const SharedSend& b) {
-                           return a.to < b.to;
-                         });
-        for (const SharedSend& s : sender_sends_) {
-          const auto& payload = delivered_payloads_[s.payload];
-          in_segs_[s.to].emplace_back(payload.data(), payload.size());
-        }
-      } else {
-        // Shared sender: counting-sort the unicast runs so each pair is
-        // one contiguous bucket, compute the within-pair splice offset of
-        // every shared send, then deliver pair by pair.
-        sender_sends_.assign(
-            sends.begin() + static_cast<std::ptrdiff_t>(first),
-            sends.begin() + static_cast<std::ptrdiff_t>(send_idx));
-        std::stable_sort(sender_sends_.begin(), sender_sends_.end(),
-                         [](const SharedSend& a, const SharedSend& b) {
-                           return a.seq < b.seq;
-                         });
-        bucket_count_.assign(m, 0);
-        std::size_t sp = 0;
-        const std::size_t nsend = sender_sends_.size();
-        // Flat seq was the sender-stream position; rewrite it to "how many
-        // unicast words to this dest came before", the splice. One pass
-        // over the runs: a send splicing at stream position s (with
-        // word_pos <= s < word_pos + count) has bucket_count_[its dest]
-        // words of earlier runs before it, plus the s - word_pos words of
-        // the current run when that run shares its destination.
-        std::size_t word_pos = 0;
-        for_each_run(tos, counts, [&](std::size_t rto, std::size_t count) {
-          while (sp < nsend &&
-                 sender_sends_[sp].seq <
-                     static_cast<std::uint64_t>(word_pos) + count) {
-            SharedSend& s = sender_sends_[sp];
-            const std::size_t mid =
-                s.to == rto ? static_cast<std::size_t>(s.seq) - word_pos : 0;
-            s.seq = bucket_count_[s.to] + mid;
-            ++sp;
-          }
-          bucket_count_[rto] += count;
-          word_pos += count;
-        });
-        while (sp < nsend) {
-          sender_sends_[sp].seq = bucket_count_[sender_sends_[sp].to];
+    } else {
+      // Shared sender: counting-sort the unicast runs so each pair is
+      // one contiguous bucket, compute the within-pair splice offset of
+      // every shared send, then deliver pair by pair.
+      sender_sends_.assign(
+          sends.begin() + static_cast<std::ptrdiff_t>(first),
+          sends.begin() + static_cast<std::ptrdiff_t>(send_idx));
+      std::stable_sort(sender_sends_.begin(), sender_sends_.end(),
+                       [](const SharedSend& a, const SharedSend& b) {
+                         return a.seq < b.seq;
+                       });
+      bucket_count_.assign(m, 0);
+      std::size_t sp = 0;
+      const std::size_t nsend = sender_sends_.size();
+      // seq was the sender-stream position; rewrite it to "how many
+      // unicast words to this dest came before", the splice. One pass
+      // over the runs: a send splicing at stream position s (with
+      // word_pos <= s < word_pos + count) has bucket_count_[its dest]
+      // words of earlier runs before it, plus the s - word_pos words of
+      // the current run when that run shares its destination.
+      std::size_t word_pos = 0;
+      for_each_run(tos, counts, [&](std::size_t rto, std::size_t count) {
+        while (sp < nsend &&
+               sender_sends_[sp].seq <
+                   static_cast<std::uint64_t>(word_pos) + count) {
+          SharedSend& s = sender_sends_[sp];
+          const std::size_t mid =
+              s.to == rto ? static_cast<std::size_t>(s.seq) - word_pos : 0;
+          s.seq = bucket_count_[s.to] + mid;
           ++sp;
         }
-        bucket_cursor_.resize(m);
-        std::size_t acc = 0;
-        for (std::size_t to = 0; to < m; ++to) {
-          bucket_cursor_[to] = acc;
-          acc += bucket_count_[to];
-        }
-        scatter_.resize(nw);
-        std::size_t pos = 0;
-        for_each_run(tos, counts, [&](std::size_t rto, std::size_t count) {
-          if (count == 1) {
-            scatter_[bucket_cursor_[rto]++] = words[pos++];
-          } else {
-            copy_run(scatter_.data() + bucket_cursor_[rto], words + pos,
-                     count);
-            bucket_cursor_[rto] += count;
-            pos += count;
-          }
-        });
-        // Stable by receiver: within a pair, splice offsets stay in
-        // chronological (non-decreasing) order.
-        std::stable_sort(sender_sends_.begin(), sender_sends_.end(),
-                         [](const SharedSend& a, const SharedSend& b) {
-                           return a.to < b.to;
-                         });
-        pos = 0;
-        std::size_t sidx = 0;
-        for (std::size_t to = 0; to < m; ++to) {
-          const std::size_t count = bucket_count_[to];
-          const std::size_t sfirst = sidx;
-          while (sidx < nsend && sender_sends_[sidx].to == to) ++sidx;
-          if (sfirst == sidx) {
-            if (count > 0) {
-              const std::size_t base = inbox_[to].size();
-              inbox_[to].insert(inbox_[to].end(), scatter_.data() + pos,
-                                scatter_.data() + pos + count);
-              if (shared_recv_[to] > 0) {
-                in_segs_[to].emplace_back(inbox_[to].data() + base, count);
-              }
-            }
-          } else {
-            deliver_pair_with_shared(
-                to, std::span<const Word>{scatter_.data() + pos, count},
-                std::span<const SharedSend>{sender_sends_.data() + sfirst,
-                                            sidx - sfirst});
-          }
+        bucket_count_[rto] += count;
+        word_pos += count;
+      });
+      while (sp < nsend) {
+        sender_sends_[sp].seq = bucket_count_[sender_sends_[sp].to];
+        ++sp;
+      }
+      bucket_cursor_.resize(m);
+      std::size_t acc = 0;
+      for (std::size_t to = 0; to < m; ++to) {
+        bucket_cursor_[to] = acc;
+        acc += bucket_count_[to];
+      }
+      scatter_.resize(nw);
+      std::size_t pos = 0;
+      for_each_run(tos, counts, [&](std::size_t rto, std::size_t count) {
+        if (count == 1) {
+          scatter_[bucket_cursor_[rto]++] = words[pos++];
+        } else {
+          copy_run(scatter_.data() + bucket_cursor_[rto], words + pos,
+                   count);
+          bucket_cursor_[rto] += count;
           pos += count;
         }
+      });
+      // Stable by receiver: within a pair, splice offsets stay in
+      // chronological (non-decreasing) order.
+      std::stable_sort(sender_sends_.begin(), sender_sends_.end(),
+                       [](const SharedSend& a, const SharedSend& b) {
+                         return a.to < b.to;
+                       });
+      pos = 0;
+      std::size_t sidx = 0;
+      for (std::size_t to = 0; to < m; ++to) {
+        const std::size_t count = bucket_count_[to];
+        const std::size_t sfirst = sidx;
+        while (sidx < nsend && sender_sends_[sidx].to == to) ++sidx;
+        if (sfirst == sidx) {
+          if (count > 0) {
+            const std::size_t base = inbox_[to].size();
+            inbox_[to].insert(inbox_[to].end(), scatter_.data() + pos,
+                              scatter_.data() + pos + count);
+            if (shared_recv_[to] > 0) {
+              in_segs_[to].emplace_back(inbox_[to].data() + base, count);
+            }
+          }
+        } else {
+          deliver_pair_with_shared(
+              to, std::span<const Word>{scatter_.data() + pos, count},
+              std::span<const SharedSend>{sender_sends_.data() + sfirst,
+                                          sidx - sfirst});
+        }
+        pos += count;
       }
-      clear_sender_staging(from);
     }
+    clear_sender_staging(from);
   }
-  adapt_path(flush_words, flush_runs);
 }
 
 InboxView Engine::inbox_view(std::size_t machine) const {
@@ -865,7 +643,6 @@ void Engine::clear_inboxes() {
 
 std::size_t Engine::Snapshot::words() const noexcept {
   std::size_t w = 0;
-  for (const auto& b : boxes) w += b.size();
   for (const auto& v : out_words) w += v.size();
   for (const auto& v : out_tos) w += (v.size() + 1) / 2;
   for (const auto& v : out_counts) w += (v.size() + 1) / 2;
@@ -880,7 +657,6 @@ std::size_t Engine::Snapshot::words() const noexcept {
 
 Engine::Snapshot Engine::snapshot() const {
   Snapshot s;
-  s.boxes = boxes_;
   s.out_tos = out_tos_;
   s.out_counts = out_counts_;
   s.out_words = out_words_;
@@ -890,13 +666,10 @@ Engine::Snapshot Engine::snapshot() const {
   s.staged_digests = staged_digests_;
   s.shared_sends = shared_sends_;
   s.metrics = metrics_;
-  s.dense_active = dense_active_;
-  s.adapt_streak = adapt_streak_;
   return s;
 }
 
 void Engine::restore(const Snapshot& snap) {
-  boxes_ = snap.boxes;
   out_tos_ = snap.out_tos;
   out_counts_ = snap.out_counts;
   out_words_ = snap.out_words;
@@ -906,8 +679,6 @@ void Engine::restore(const Snapshot& snap) {
   staged_digests_ = snap.staged_digests;
   shared_sends_ = snap.shared_sends;
   metrics_ = snap.metrics;
-  dense_active_ = snap.dense_active;
-  adapt_streak_ = snap.adapt_streak;
 }
 
 std::size_t Engine::capture_round() {
@@ -920,8 +691,6 @@ std::size_t Engine::capture_round() {
 
 void Engine::save_engine_state(std::vector<Word>& out) const {
   fault::append_raw(out, metrics_);
-  out.push_back(dense_active_ ? 1 : 0);
-  out.push_back(adapt_streak_);
   // Delayed flushes straddle the round boundary (a kDelayFlush holds a
   // flush back into the *next* round), so they are part of the safe-point
   // state.
@@ -939,8 +708,6 @@ void Engine::save_engine_state(std::vector<Word>& out) const {
 
 void Engine::load_engine_state(fault::SectionReader& in) {
   in.take_raw(metrics_);
-  set_path(in.take() != 0);
-  adapt_streak_ = static_cast<std::uint8_t>(in.take());
   delayed_.clear();
   const Word ndelayed = in.take();
   for (Word i = 0; i < ndelayed; ++i) {
@@ -964,15 +731,7 @@ void Engine::load_engine_state(fault::SectionReader& in) {
 }
 
 std::size_t Engine::staged_words(std::size_t machine) const {
-  const std::size_t m = config_.num_machines;
-  std::size_t w = 0;
-  if (dense_active_) {
-    for (std::size_t to = 0; to < m; ++to) {
-      w += boxes_[machine * m + to].size();
-    }
-  } else if (!out_words_.empty()) {
-    w += out_words_[machine].size();
-  }
+  std::size_t w = out_words_[machine].size();
   for (const SharedSend& s : shared_sends_) {
     if (s.from == machine) w += staged_payloads_[s.payload].size();
   }
@@ -985,31 +744,13 @@ std::size_t Engine::received_words(std::size_t machine) const {
 
 void Engine::lose_flush(std::size_t machine, bool stands) {
   if (stands && config_.audit) audit_dropped_ += staged_words(machine);
-  const std::size_t m = config_.num_machines;
-  if (dense_active_) {
-    for (std::size_t to = 0; to < m; ++to) {
-      boxes_[machine * m + to].clear();
-    }
-  } else if (!out_tos_.empty()) {
-    clear_sender_staging(machine);
-  }
+  clear_sender_staging(machine);
   std::erase_if(shared_sends_, [machine](const SharedSend& s) {
     return s.from == machine;
   });
 }
 
 void Engine::duplicate_flush(std::size_t machine) {
-  const std::size_t m = config_.num_machines;
-  if (dense_active_) {
-    for (std::size_t to = 0; to < m; ++to) {
-      auto& box = boxes_[machine * m + to];
-      const std::vector<Word> copy = box;
-      box.insert(box.end(), copy.begin(), copy.end());
-      audit_duped_ += copy.size();
-    }
-    return;
-  }
-  if (out_tos_.empty()) return;
   const std::vector<std::uint32_t> tos = out_tos_[machine];
   const std::vector<std::uint32_t> counts = out_counts_[machine];
   const std::vector<Word> words = out_words_[machine];
@@ -1027,32 +768,10 @@ void Engine::duplicate_flush(std::size_t machine) {
 void Engine::delay_flush(std::size_t machine) {
   DelayedFlush d;
   d.from = machine;
-  if (dense_active_) {
-    const std::size_t m = config_.num_machines;
-    for (std::size_t to = 0; to < m; ++to) {
-      auto& box = boxes_[machine * m + to];
-      std::size_t left = box.size();
-      if (left == 0) continue;
-      d.words.insert(d.words.end(), box.begin(), box.end());
-      while (left > 0) {
-        if (left == 1) {
-          d.tos.push_back(static_cast<std::uint32_t>(to));
-          break;
-        }
-        const std::size_t take =
-            left < RunTag::kMaxCount ? left : RunTag::kMaxCount;
-        d.tos.push_back(static_cast<std::uint32_t>(to) | RunTag::kExtFlag);
-        d.counts.push_back(static_cast<std::uint32_t>(take));
-        left -= take;
-      }
-      box.clear();
-    }
-  } else if (!out_tos_.empty()) {
-    d.tos = std::move(out_tos_[machine]);
-    d.counts = std::move(out_counts_[machine]);
-    d.words = std::move(out_words_[machine]);
-    clear_sender_staging(machine);
-  }
+  d.tos = std::move(out_tos_[machine]);
+  d.counts = std::move(out_counts_[machine]);
+  d.words = std::move(out_words_[machine]);
+  clear_sender_staging(machine);
   audit_delayed_ += d.words.size();
   if (!d.words.empty()) delayed_.push_back(std::move(d));
 }
@@ -1061,31 +780,19 @@ void Engine::inject_delayed() {
   // Late flushes are appended after the new round's own staging, so any
   // splice offsets already recorded for this round's shared sends stay
   // valid (the stream prefix is untouched).
-  for (DelayedFlush& d : delayed_) {
-    if (dense_active_) {
-      const std::size_t m = config_.num_machines;
-      const Word* words = d.words.data();
-      std::size_t pos = 0;
-      for_each_run(d.tos, d.counts.data(),
-                   [&](std::size_t to, std::size_t count) {
-                     auto& box = boxes_[d.from * m + to];
-                     box.insert(box.end(), words + pos, words + pos + count);
-                     pos += count;
-                   });
-    } else {
-      out_tos_[d.from].insert(out_tos_[d.from].end(), d.tos.begin(),
-                              d.tos.end());
-      out_counts_[d.from].insert(out_counts_[d.from].end(), d.counts.begin(),
-                                 d.counts.end());
-      out_words_[d.from].insert(out_words_[d.from].end(), d.words.begin(),
-                                d.words.end());
-      out_open_to_[d.from] = d.tos.back() & RunTag::kDestMask;
-      if (config_.integrity) {
-        // The late words appended to the stream tail; continue the fold.
-        std::uint64_t h = out_csums_[d.from];
-        for (const Word w : d.words) h = Fnv::fold(h, w);
-        out_csums_[d.from] = h;
-      }
+  for (const DelayedFlush& d : delayed_) {
+    out_tos_[d.from].insert(out_tos_[d.from].end(), d.tos.begin(),
+                            d.tos.end());
+    out_counts_[d.from].insert(out_counts_[d.from].end(), d.counts.begin(),
+                               d.counts.end());
+    out_words_[d.from].insert(out_words_[d.from].end(), d.words.begin(),
+                              d.words.end());
+    out_open_to_[d.from] = d.tos.back() & RunTag::kDestMask;
+    if (config_.integrity) {
+      // The late words appended to the stream tail; continue the fold.
+      std::uint64_t h = out_csums_[d.from];
+      for (const Word w : d.words) h = Fnv::fold(h, w);
+      out_csums_[d.from] = h;
     }
   }
   delayed_.clear();
@@ -1151,31 +858,6 @@ void Engine::resync_sender_checksum(std::size_t from) {
 
 std::size_t Engine::corrupt_wire(std::size_t machine, std::size_t round,
                                  std::size_t ordinal) {
-  if (dense_active_) {
-    // Dense path exists only with integrity off (the ctor and adapt_path
-    // pin the flat representation when checksums are on): flip bits across
-    // the machine's boxes with no retention — nobody can ask for a
-    // retransmit it would serve.
-    const std::size_t m = config_.num_machines;
-    std::size_t total = 0;
-    for (std::size_t to = 0; to < m; ++to) {
-      total += boxes_[machine * m + to].size();
-    }
-    const fault::BitFlips f =
-        fault::pick_flips(round, machine, ordinal, total, /*dedup=*/false);
-    for (std::size_t i = 0; i < f.count; ++i) {
-      std::size_t idx = f.word[i];
-      for (std::size_t to = 0;; ++to) {
-        auto& box = boxes_[machine * m + to];
-        if (idx < box.size()) {
-          box[idx] ^= Word{1} << f.bit[i];
-          break;
-        }
-        idx -= box.size();
-      }
-    }
-    return f.count;
-  }
   auto& words = out_words_[machine];
   if (words.empty()) return 0;
   // Retain the pristine stream before touching it — the sender keeps its
@@ -1286,15 +968,8 @@ void Engine::verify_store() const {
 // Runtime audit: conservation invariants checked every round (Config::audit).
 
 void Engine::begin_audit() {
-  const std::size_t m = config_.num_machines;
   std::size_t staged = 0;
-  if (dense_active_) {
-    for (const auto& box : boxes_) staged += box.size();
-  } else {
-    for (std::size_t from = 0; from < m; ++from) {
-      staged += out_words_[from].size();
-    }
-  }
+  for (const auto& words : out_words_) staged += words.size();
   for (const SharedSend& s : shared_sends_) {
     staged += staged_payloads_[s.payload].size();
   }

@@ -15,8 +15,8 @@
 // Message plane. Two kinds of traffic flow through an exchange:
 //   * unicast words, staged through an `Outbox` (one handle per sender,
 //     one up-front machine check, run-length `(to, count)` descriptors over
-//     a contiguous per-sender word stream on the flat path) or the legacy
-//     per-word `push`, which is a thin wrapper over a one-entry outbox; and
+//     a contiguous per-sender word stream) or the legacy per-word `push`,
+//     which is a thin wrapper over a one-entry outbox; and
 //   * shared payloads (`stage_payload` + `push_broadcast` / `push_gather`),
 //     stored ONCE per staging and delivered as (payload, offset, length)
 //     descriptors — a broadcast of k words to f machines costs O(k + f)
@@ -79,29 +79,6 @@ struct Config {
   /// tallied in Metrics::violations (useful for measuring how close an
   /// algorithm runs to the budget).
   bool strict = true;
-  /// Dense/flat exchange representation: the per-(sender, receiver) box
-  /// matrix (appends pre-sort by destination, delivery is pure bulk copies,
-  /// but O(machines^2) storage and a full matrix scan per round) versus
-  /// flat per-sender run-length outboxes with counting-sort delivery
-  /// (O(words) storage, per-*run* bookkeeping).
-  ///
-  /// With the default `kAdaptive`, the engine picks the path per flush
-  /// from the traffic it just delivered — total unicast words versus
-  /// occupied (sender, receiver) runs: bulky per-pair traffic that
-  /// amortizes the matrix scan switches to dense, scattered short-run
-  /// traffic switches to flat (both representations deliver identical
-  /// inboxes and metrics, so switching is observable only as wall-clock;
-  /// see `tools/bench_exchange_crossover --adaptive`). A flip needs the
-  /// same verdict on two consecutive traffic-bearing flushes (hysteresis),
-  /// so alternating bulk/scattered rounds cannot thrash the
-  /// representation. The dense matrix is never chosen above
-  /// kAdaptiveDenseCap machines.
-  ///
-  /// Any explicit value overrides adaptivity with the old static rule:
-  /// clusters up to the limit are dense, larger ones flat (0 forces flat
-  /// everywhere — how tests pin one representation).
-  static constexpr std::size_t kAdaptive = static_cast<std::size_t>(-1);
-  std::size_t dense_machine_limit = kAdaptive;
   /// End-to-end message integrity: every sender's staged word stream
   /// carries a 64-bit FNV-1a checksum, folded in incrementally at append
   /// time (one xor-multiply per word behind a null-pointer test that is
@@ -110,18 +87,14 @@ struct Config {
   /// mismatch — a kCorruptPayload fault, or real memory corruption — is
   /// detected before delivery and repaired by retransmitting the sender's
   /// retained stream (see FaultPlan::retransmit_budget for the escalation
-  /// contract).  Pins the flat staging representation: the checksum is
-  /// defined over the contiguous per-sender wire stream, which the dense
-  /// per-pair matrix does not materialize.  Metrics are representation-
-  /// invariant, so the pin is observable only as wall-clock.
+  /// contract).
   bool integrity = false;
   /// Runtime audit mode: after every exchange the engine checks
   /// conservation (words staged == delivered + dropped - duplicated
   /// + delayed, with fault adjustments), that capacity breaches were
   /// tallied, and that inbox-view segments cover exactly the delivered
   /// words inside engine-owned buffers.  Costs one staging sweep per round
-  /// (O(machines + shared sends); O(machines^2) on the dense path); throws
-  /// AuditError on any violation.
+  /// (O(machines + shared sends)); throws AuditError on any violation.
   bool audit = false;
   /// Opt-in round-boundary scrub of the durable stores: every
   /// `scrub_interval`-th round (0 = never) the engine re-digests the
@@ -160,7 +133,7 @@ struct Metrics : fault::FaultMetrics {
   std::size_t total_words = 0;
 };
 
-/// Run-length tag encoding of the flat staging. Each sender's staged words
+/// Run-length tag encoding of the staging. Each sender's staged words
 /// form one contiguous stream described by a stream of 4-byte *tags*, one
 /// per maximal same-destination stretch: a tag is the destination id, and
 /// its kExtFlag bit says whether the stretch is a single word (clear — the
@@ -177,8 +150,8 @@ struct RunTag {
   static constexpr std::uint32_t kExtFlag = 0x80000000u;
   static constexpr std::uint32_t kDestMask = 0x7fffffffu;
   /// Extended runs saturate at 2^32-1 words and spill into a fresh tag —
-  /// only reachable far beyond any realistic per-round budget (the split
-  /// is visible solely to the adaptive path chooser's run statistic).
+  /// only reachable far beyond any realistic per-round budget (delivery
+  /// walks runs in order, so the split is invisible).
   static constexpr std::uint32_t kMaxCount = 0xffffffffu;
   /// "No open run" marker for the per-sender open-destination table (it
   /// has the high bit set, so it can never equal a masked destination).
@@ -188,9 +161,8 @@ struct RunTag {
 /// Streamed outbox: a per-sender staging handle for unicast words. Open one
 /// per round (`Engine::outbox`) — the sender id is checked once there — and
 /// append words or whole runs; only the destination is range-checked per
-/// append (one compare). On the flat path appends write the contiguous word
-/// stream plus run-length descriptors; on the dense path they go straight
-/// into the per-destination boxes. A handle is valid until the next
+/// append (one compare). Appends write the sender's contiguous word stream
+/// plus run-length descriptors. A handle is valid until the next
 /// exchange(); several handles for the same sender may coexist (they stage
 /// into the same stream).
 class Outbox {
@@ -208,10 +180,6 @@ class Outbox {
   void append(std::size_t to, Word word) {
     if (to >= num_machines_) [[unlikely]] {
       throw_bad_dest(to);
-    }
-    if (dense_row_ != nullptr) {
-      dense_row_[to].push_back(word);
-      return;
     }
     words_->push_back(word);
     // Integrity layer: fold the word into the sender's stream checksum.
@@ -239,17 +207,12 @@ class Outbox {
   }
 
   /// Appends a whole word run for machine `to` (one tag + one count + one
-  /// bulk copy on the flat path; merges with an open run to the same
-  /// machine).
+  /// bulk copy; merges with an open run to the same machine).
   void append_run(std::size_t to, std::span<const Word> words) {
     if (to >= num_machines_) [[unlikely]] {
       throw_bad_dest(to);
     }
     if (words.empty()) return;
-    if (dense_row_ != nullptr) {
-      dense_row_[to].insert(dense_row_[to].end(), words.begin(), words.end());
-      return;
-    }
     words_->insert(words_->end(), words.begin(), words.end());
     if (csum_ != nullptr) [[unlikely]] {
       std::uint64_t h = *csum_;
@@ -282,29 +245,24 @@ class Outbox {
     }
   }
 
-  /// Pre-reserves stream capacity for `words` more words (flat path; the
-  /// dense path's per-destination boxes grow on their own).
+  /// Pre-reserves stream capacity for `words` more words.
   void reserve(std::size_t words) {
     if (words_ != nullptr) words_->reserve(words_->size() + words);
   }
 
  private:
   friend class Engine;
-  Outbox(std::vector<Word>* dense_row, std::vector<std::uint32_t>* tos,
-         std::vector<std::uint32_t>* counts, std::vector<Word>* words,
-         std::uint32_t* open_to, std::size_t num_machines,
-         std::uint64_t* csum = nullptr)
-      : dense_row_(dense_row), tos_(tos), counts_(counts), words_(words),
-        open_to_(open_to), num_machines_(num_machines), csum_(csum) {}
+  Outbox(std::vector<std::uint32_t>* tos, std::vector<std::uint32_t>* counts,
+         std::vector<Word>* words, std::uint32_t* open_to,
+         std::size_t num_machines, std::uint64_t* csum)
+      : tos_(tos), counts_(counts), words_(words), open_to_(open_to),
+        num_machines_(num_machines), csum_(csum) {}
   /// Out of line: the exception-string construction must not be inlined
   /// into every append call site (it bloats the hot staging loops).
   [[noreturn]] void throw_bad_dest(std::size_t to) const;
-  /// Dense path: the sender's row of per-destination boxes (nullptr when
-  /// the flat representation is active).
-  std::vector<Word>* dense_row_ = nullptr;
-  /// Flat path: the sender's run-tag/count streams + contiguous word
-  /// stream + its slot in the engine's open-destination table (the masked
-  /// destination of tos_->back(), or RunTag::kNoDest when no run is open).
+  /// The sender's run-tag/count streams + contiguous word stream + its
+  /// slot in the engine's open-destination table (the masked destination
+  /// of tos_->back(), or RunTag::kNoDest when no run is open).
   std::vector<std::uint32_t>* tos_ = nullptr;
   std::vector<std::uint32_t>* counts_ = nullptr;
   std::vector<Word>* words_ = nullptr;
@@ -407,9 +365,9 @@ class InboxView {
 
 class Engine final : private fault::RoundTransport {
   /// One queued shared-payload delivery. `seq` snapshots how many unicast
-  /// words the sender had queued (to this receiver on the dense path; in
-  /// total on the flat path) when the shared push happened — the splice
-  /// position that keeps per-sender chronological order in the inbox.
+  /// words the sender had queued in total when the shared push happened —
+  /// the splice position that keeps per-sender chronological order in the
+  /// inbox.
   /// (Declared ahead of the public section so Snapshot can hold them.)
   struct SharedSend {
     std::uint32_t from;
@@ -445,13 +403,8 @@ class Engine final : private fault::RoundTransport {
     if (from >= config_.num_machines) [[unlikely]] {
       throw_bad_machine(from);
     }
-    if (dense_active_) {
-      return Outbox(boxes_.data() + from * config_.num_machines, nullptr,
-                    nullptr, nullptr, nullptr, config_.num_machines);
-    }
-    return Outbox(nullptr, &out_tos_[from], &out_counts_[from],
-                  &out_words_[from], &out_open_to_[from],
-                  config_.num_machines,
+    return Outbox(&out_tos_[from], &out_counts_[from], &out_words_[from],
+                  &out_open_to_[from], config_.num_machines,
                   config_.integrity ? &out_csums_[from] : nullptr);
   }
 
@@ -518,20 +471,12 @@ class Engine final : private fault::RoundTransport {
   /// outstanding views.
   void clear_inboxes();
 
-  /// True while push()/outbox() stage into the dense per-pair box matrix
-  /// (observability hook for the adaptive-choice tests; the choice is
-  /// otherwise visible only as wall-clock).
-  [[nodiscard]] bool dense_staging_active() const noexcept {
-    return dense_active_;
-  }
-
-  /// Opaque copy of the *staged* message plane — unicast boxes / run-tag
-  /// streams, the payload store, splice descriptors — plus Metrics and the
-  /// adaptive-path state, taken at a round boundary.  Restoring puts the
-  /// engine back exactly as it was about to exchange.  Delivered inboxes
-  /// are NOT captured: their segment views alias engine buffers and are
-  /// invalidated by a rollback anyway (drivers re-read them from the
-  /// replayed round).
+  /// Opaque copy of the *staged* message plane — run-tag streams, the
+  /// payload store, splice descriptors — plus Metrics, taken at a round
+  /// boundary.  Restoring puts the engine back exactly as it was about to
+  /// exchange.  Delivered inboxes are NOT captured: their segment views
+  /// alias engine buffers and are invalidated by a rollback anyway
+  /// (drivers re-read them from the replayed round).
   class Snapshot {
    public:
     Snapshot() = default;
@@ -541,7 +486,6 @@ class Engine final : private fault::RoundTransport {
 
    private:
     friend class Engine;
-    std::vector<std::vector<Word>> boxes;
     std::vector<std::vector<std::uint32_t>> out_tos;
     std::vector<std::vector<std::uint32_t>> out_counts;
     std::vector<std::vector<Word>> out_words;
@@ -551,8 +495,6 @@ class Engine final : private fault::RoundTransport {
     std::vector<std::uint64_t> staged_digests;
     std::vector<SharedSend> shared_sends;
     Metrics metrics{};
-    bool dense_active = false;
-    std::uint8_t adapt_streak = 1;
   };
 
   /// Captures the staged message plane (see Snapshot).  The fault
@@ -605,8 +547,8 @@ class Engine final : private fault::RoundTransport {
 
   /// Resume attempt (call once, after registering checkpoint providers and
   /// before the first round; see fault::RoundHarness::try_resume).  The
-  /// engine's own section restores Metrics, the adaptive-path state and
-  /// delayed flushes.  True when a checkpoint was loaded.
+  /// engine's own section restores Metrics and delayed flushes.  True when
+  /// a checkpoint was loaded.
   bool try_resume() { return harness_.try_resume(); }
 
  private:
@@ -624,10 +566,9 @@ class Engine final : private fault::RoundTransport {
   void release_round() override { round_ckpt_ = Snapshot{}; }
   /// Unicast words plus the machine's share of shared payload deliveries.
   [[nodiscard]] std::size_t staged_words(std::size_t machine) const override;
-  /// Destroys the machine's unicast boxes or run streams and its queued
-  /// shared-payload sends. The payload *store* survives: stage_payload
-  /// models a durable blob store, the per-machine flush is what a fault
-  /// destroys.
+  /// Destroys the machine's staged run streams and its queued shared-payload
+  /// sends. The payload *store* survives: stage_payload models a durable
+  /// blob store, the per-machine flush is what a fault destroys.
   void lose_flush(std::size_t machine, bool stands) override;
   /// Doubles the staged unicast traffic (receivers see every word twice
   /// and congestion accounting trips).
@@ -635,9 +576,8 @@ class Engine final : private fault::RoundTransport {
   /// Holds the staged unicast traffic back one round; inject_delayed()
   /// re-appends it to the next round's staging.
   void delay_flush(std::size_t machine) override;
-  /// Copies the staged flat stream aside (sender-side retention) and flips
-  /// bits in the live staged words; on the dense path flips bits in the
-  /// per-pair boxes without retention (integrity cannot be on there).
+  /// Copies the staged stream aside (sender-side retention) and flips bits
+  /// in the live staged words.
   std::size_t corrupt_wire(std::size_t machine, std::size_t round,
                            std::size_t ordinal) override;
   [[nodiscard]] bool wire_ok(std::size_t machine) const override {
@@ -668,7 +608,7 @@ class Engine final : private fault::RoundTransport {
   /// Blanks what the machine received this round. Send-side metrics keep
   /// the words — they were sent, they just hit a dead host.
   void go_dark(std::size_t machine) override;
-  /// Metrics, adaptive-path state and delayed flushes.  Staging and the
+  /// Metrics and delayed flushes.  Staging and the
   /// payload store are NOT serialized — safe points are quiescent, and a
   /// fresh process's empty staging is exactly right.
   void save_engine_state(std::vector<Word>& out) const override;
@@ -677,7 +617,7 @@ class Engine final : private fault::RoundTransport {
   /// Words machine `m` received in the round just executed.
   [[nodiscard]] std::size_t received_words(std::size_t machine) const;
   void inject_delayed();
-  /// Clears one flat sender's staged stream (tags, counts, words, open-run
+  /// Clears one sender's staged stream (tags, counts, words, open-run
   /// table, checksum accumulator).
   void clear_sender_staging(std::size_t from);
   /// Resets the sender's checksum accumulator to the digest of its current
@@ -707,40 +647,27 @@ class Engine final : private fault::RoundTransport {
   /// Audit mode: checks conservation, capacity tallies, and segment bounds
   /// for the round just delivered; throws AuditError on violation.
   void finish_audit() const;
-  void exchange_plain_dense(std::size_t m);
   void exchange_plain_flat(std::size_t m);
-  /// Slot-sharded unicast flushes used when backend().parallel(): per-slot
+  /// Slot-sharded unicast flush used when backend().parallel(): per-slot
   /// sender-range histograms, one sequential prefix/budget pass, then
   /// positional run copies into exactly-sized inboxes — the delivered
-  /// inboxes and all Metrics are position-identical to the sequential
-  /// variants above for any thread count (see DESIGN.md, "Execution
+  /// inboxes and all Metrics are position-identical to
+  /// exchange_plain_flat for any thread count (see DESIGN.md, "Execution
   /// backends").
   void exchange_parallel_flat(std::size_t m);
-  void exchange_parallel_dense(std::size_t m);
   void exchange_shared(std::size_t m);
-  /// Delivers one flat sender's staged runs into the inboxes (and, with
+  /// Delivers one sender's staged runs into the inboxes (and, with
   /// `emit_segs`, interleaved segment lists for shared-round receivers):
   /// one bulk copy per run, except scattered big senders (many short runs)
   /// which take a word-level counting sort through the scatter buffer so a
   /// receiver gets one append instead of one per run. Clears the sender's
   /// staging.
   void deliver_flat_sender(std::size_t from, std::size_t m, bool emit_segs);
-  /// Switches the staging representation (both are kept allocated once
-  /// used; only callable between flushes, when all outboxes are empty).
-  void set_path(bool dense);
-  /// Per-flush adaptive path choice from the shape of the unicast traffic
-  /// just delivered: `words` moved across `runs` maximal same-destination
-  /// stretches. Two consecutive traffic-bearing flushes must agree before
-  /// the path flips (hysteresis). No-op unless Config::dense_machine_limit
-  /// is kAdaptive.
-  void adapt_path(std::size_t words, std::size_t runs);
-  /// Largest cluster the adaptive mode will ever give the dense matrix
-  /// (its storage and per-round scan are O(machines^2)).
-  static constexpr std::size_t kAdaptiveDenseCap = 512;
-  /// Appends `box` to inbox_[to] split around this pair's shared sends
-  /// (whose seq fields hold within-pair splice offsets, chronological
-  /// order), emitting interleaved segments into in_segs_[to].
-  void deliver_pair_with_shared(std::size_t to, std::span<const Word> box,
+  /// Appends one sender's `unicast` words for `to` to inbox_[to] split
+  /// around this pair's shared sends (whose seq fields hold within-pair
+  /// splice offsets, chronological order), emitting interleaved segments
+  /// into in_segs_[to].
+  void deliver_pair_with_shared(std::size_t to, std::span<const Word> unicast,
                                 std::span<const SharedSend> sends);
   std::vector<std::span<const Word>>& touch_segs(std::size_t to);
 
@@ -751,23 +678,8 @@ class Engine final : private fault::RoundTransport {
   /// outlive the call that launched it).
   std::unique_ptr<ExecutionBackend> backend_;
   Metrics metrics_;
-  /// Which staging representation outbox()/push() writes to. Fixed by
-  /// dense_machine_limit when that is explicit; re-decided per flush by
-  /// adapt_path() in the default adaptive mode.
-  bool dense_active_ = false;
-  /// Flushes in a row whose traffic shape voted against the active
-  /// representation (adaptive mode): the flip happens at 2. Starts at 1:
-  /// the startup representation is a size-based guess, not observed
-  /// history, so the first real traffic shape may override it immediately
-  /// — only after a flush has *confirmed* the active path does a flip
-  /// require two consecutive contrary votes.
-  std::uint8_t adapt_streak_ = 1;
-  /// Dense representation (small clusters): boxes_[from * m + to] holds
-  /// the unicast words queued from `from` to `to`, in push order. Empty
-  /// when the flat representation is active.
-  std::vector<std::vector<Word>> boxes_;
-  /// Flat per-sender outboxes (large clusters): out_words_[from] is the
-  /// sender's staged words in push order, described by the run tags in
+  /// Per-sender outboxes: out_words_[from] is the sender's staged words in
+  /// push order, described by the run tags in
   /// out_tos_[from] (one per maximal same-destination stretch; extended
   /// tags index into out_counts_[from] in order — see RunTag). A round of
   /// exchange() costs O(tags + machines) bookkeeping plus one bulk copy
@@ -818,17 +730,16 @@ class Engine final : private fault::RoundTransport {
   std::vector<std::size_t> bucket_cursor_;
   std::vector<Word> scatter_;
   /// Parallel-flush scratch (backend().parallel() only): per-slot receiver
-  /// histograms and write cursors, slot-major ([slot * m + to]), plus
-  /// per-slot run totals — merged in ascending slot order, which is what
-  /// makes the parallel flush position-identical to the sequential one.
+  /// histograms and write cursors, slot-major ([slot * m + to]) — merged in
+  /// ascending slot order, which is what makes the parallel flush
+  /// position-identical to the sequential one.
   std::vector<std::size_t> slot_count_;
   std::vector<std::size_t> slot_cursor_;
-  std::vector<std::size_t> slot_runs_;
   /// Parallel verify scratch: per-sender / per-blob ok flags (the throw,
   /// which must name the lowest failing index, stays sequential).
   mutable std::vector<char> verify_ok_;
-  /// Flat-path scratch: one sender's shared sends in chronological order,
-  /// with seq rewritten to the within-pair splice offset.
+  /// Shared-round scratch: one sender's shared sends in chronological
+  /// order, with seq rewritten to the within-pair splice offset.
   std::vector<SharedSend> sender_sends_;
 
   /// The fault and durability harness (plan, budgets, the faulty-round
@@ -837,9 +748,8 @@ class Engine final : private fault::RoundTransport {
                                config_.num_machines, config_.integrity};
   /// The rollback point of the faulty round in flight (capture_round).
   Snapshot round_ckpt_;
-  /// A flush held back by a non-recovered kDelayFlush, stored as run
-  /// descriptors (path-agnostic: it may be re-injected under either
-  /// staging representation).
+  /// A flush held back by a non-recovered kDelayFlush: the sender's run
+  /// descriptors and words, re-appended to its next round's stream.
   struct DelayedFlush {
     std::size_t from = 0;
     std::vector<std::uint32_t> tos;

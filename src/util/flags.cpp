@@ -52,6 +52,16 @@ std::int64_t Flags::get_int(const std::string& key, std::int64_t def) const {
   }
 }
 
+std::size_t Flags::get_count(const std::string& key, std::size_t def) const {
+  const std::int64_t v = get_int(key, static_cast<std::int64_t>(def));
+  if (v < 0) {
+    throw std::invalid_argument("flags: --" + key +
+                                " wants a non-negative integer, got '" +
+                                values_.at(key) + "'");
+  }
+  return static_cast<std::size_t>(v);
+}
+
 double Flags::get_double(const std::string& key, double def) const {
   read_[key] = true;
   const auto it = values_.find(key);

@@ -5,6 +5,7 @@
 #ifndef MPCG_UTIL_FLAGS_H
 #define MPCG_UTIL_FLAGS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -26,6 +27,10 @@ class Flags {
                                        const std::string& def) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t def) const;
+  /// get_int for counts and sizes: a negative value also throws, instead
+  /// of wrapping to a huge std::size_t.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      std::size_t def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool def) const;
 

@@ -190,6 +190,23 @@ TEST(Backend, MakeBackendGatesOnThreadCount) {
   EXPECT_EQ(par->threads(), 6U);
 }
 
+TEST(Backend, PoolWidthAboveTheCapThrowsBeforeSpawning) {
+  // The check runs before any worker starts, so these construct nothing.
+  // (Never build a pool at the cap here: that would start 255 threads.)
+  constexpr std::size_t over = ParallelBackend::kMaxThreads + 1;
+  EXPECT_THROW(ParallelBackend{over}, std::invalid_argument);
+  try {
+    (void)mpc::make_backend(over);
+    FAIL() << "make_backend(" << over << ") must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(over)), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(ParallelBackend::kMaxThreads)),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(Backend, StageShardsReplaySequentialPerSenderOrder) {
   // Collect the same records sequentially and chunked-in-parallel; every
   // sender must drain the identical word sequence.

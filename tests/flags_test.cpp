@@ -70,6 +70,24 @@ TEST(Flags, TracksUnusedKeys) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(Flags, CountRejectsNegativeValuesNamingTheFlag) {
+  try {
+    (void)parse({"--n", "-5"}).get_count("n", 4096);
+    FAIL() << "--n -5 must not parse as a count";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "flags: --n wants a non-negative integer, got '-5'");
+  }
+  EXPECT_THROW((void)parse({"--n=abc"}).get_count("n", 0),
+               std::invalid_argument);
+}
+
+TEST(Flags, CountAcceptsZeroAndPositiveValues) {
+  EXPECT_EQ(parse({"--words", "0"}).get_count("words", 7), 0U);
+  EXPECT_EQ(parse({"--n=4096"}).get_count("n", 1), 4096U);
+  EXPECT_EQ(parse({}).get_count("n", 17), 17U);
+}
+
 TEST(Flags, NegativeNumberAsValue) {
   // "-5" must not be mistaken for a flag.
   const auto f = parse({"--offset", "-5"});

@@ -2,10 +2,9 @@
 // interleaving contract between unicast pushes and shared payloads,
 // accounting equivalence between shared and materialized delivery, and
 // the streamed-outbox staging (run-length record streams) coupled against
-// the legacy per-word push path. Every scenario runs on both exchange
-// representations (dense box matrix and flat counting-sort), selected via
-// Config::dense_machine_limit; the randomized staging coupling
-// additionally runs the adaptive chooser.
+// the legacy per-word push path, all on the engine's one exchange
+// representation: per-sender run-length streams with counting-sort
+// delivery.
 #include <numeric>
 #include <random>
 #include <vector>
@@ -18,15 +17,11 @@
 namespace mpcg::mpc {
 namespace {
 
-Engine make_engine(bool flat, std::size_t machines = 4,
-                   std::size_t words = 1 << 12) {
+Engine make_engine(std::size_t machines = 4, std::size_t words = 1 << 12) {
   Config cfg;
   cfg.num_machines = machines;
   cfg.words_per_machine = words;
   cfg.strict = true;
-  // dense_machine_limit = 0 forces the flat representation even for tiny
-  // clusters, so both delivery paths are testable at the same scale.
-  cfg.dense_machine_limit = flat ? 0 : 512;
   return Engine(cfg);
 }
 
@@ -34,10 +29,8 @@ std::vector<Word> view_words(const InboxView& view) {
   return std::vector<Word>(view.begin(), view.end());
 }
 
-class MessagePlane : public ::testing::TestWithParam<bool> {};
-
-TEST_P(MessagePlane, BroadcastDeliversToAllDestinations) {
-  Engine e = make_engine(GetParam());
+TEST(MessagePlane, BroadcastDeliversToAllDestinations) {
+  Engine e = make_engine();
   const std::vector<Word> payload{7, 8, 9};
   const std::vector<std::size_t> dests{0, 2, 3};
   e.push_broadcast(1, dests, payload);
@@ -48,8 +41,8 @@ TEST_P(MessagePlane, BroadcastDeliversToAllDestinations) {
   EXPECT_TRUE(e.inbox_view(1).empty());
 }
 
-TEST_P(MessagePlane, SharedPayloadIsAliasedNotCopied) {
-  Engine e = make_engine(GetParam());
+TEST(MessagePlane, SharedPayloadIsAliasedNotCopied) {
+  Engine e = make_engine();
   const std::vector<Word> payload{1, 2, 3, 4};
   const std::vector<std::size_t> dests{0, 2, 3};
   e.push_broadcast(1, dests, payload);
@@ -63,8 +56,8 @@ TEST_P(MessagePlane, SharedPayloadIsAliasedNotCopied) {
   }
 }
 
-TEST_P(MessagePlane, InterleavingPreservesPerSenderPushOrder) {
-  Engine e = make_engine(GetParam());
+TEST(MessagePlane, InterleavingPreservesPerSenderPushOrder) {
+  Engine e = make_engine();
   const std::vector<std::size_t> to_zero{0};
   const std::vector<Word> pay_a{100, 101};
   const std::vector<Word> pay_b{200};
@@ -86,8 +79,8 @@ TEST_P(MessagePlane, InterleavingPreservesPerSenderPushOrder) {
   EXPECT_EQ(view_words(e.inbox_view(0)), expected);
 }
 
-TEST_P(MessagePlane, StagedPayloadSharedAcrossSenders) {
-  Engine e = make_engine(GetParam());
+TEST(MessagePlane, StagedPayloadSharedAcrossSenders) {
+  Engine e = make_engine();
   const std::vector<Word> payload{5, 6};
   const PayloadId pid = e.stage_payload(payload);
   e.push_broadcast(0, std::vector<std::size_t>{1}, pid);
@@ -101,8 +94,8 @@ TEST_P(MessagePlane, StagedPayloadSharedAcrossSenders) {
   EXPECT_EQ(e.metrics().max_received_words, 4U);  // machine 1
 }
 
-TEST_P(MessagePlane, PayloadIdsDieAtExchange) {
-  Engine e = make_engine(GetParam());
+TEST(MessagePlane, PayloadIdsDieAtExchange) {
+  Engine e = make_engine();
   const std::vector<Word> payload{1};
   const PayloadId pid = e.push_broadcast(0, std::vector<std::size_t>{1},
                                          std::span<const Word>(payload));
@@ -111,8 +104,8 @@ TEST_P(MessagePlane, PayloadIdsDieAtExchange) {
                std::out_of_range);
 }
 
-TEST_P(MessagePlane, ViewsDescribeOnlyTheLatestExchange) {
-  Engine e = make_engine(GetParam());
+TEST(MessagePlane, ViewsDescribeOnlyTheLatestExchange) {
+  Engine e = make_engine();
   const std::vector<Word> payload{1, 2};
   e.push_broadcast(0, std::vector<std::size_t>{1}, payload);
   e.exchange();
@@ -128,8 +121,8 @@ TEST_P(MessagePlane, ViewsDescribeOnlyTheLatestExchange) {
   EXPECT_TRUE(e.inbox_view(1).empty());
 }
 
-TEST_P(MessagePlane, ClearInboxesEmptiesViews) {
-  Engine e = make_engine(GetParam());
+TEST(MessagePlane, ClearInboxesEmptiesViews) {
+  Engine e = make_engine();
   e.push(0, 1, Word{5});
   e.push_broadcast(2, std::vector<std::size_t>{1},
                    std::vector<Word>{6, 7});
@@ -139,8 +132,8 @@ TEST_P(MessagePlane, ClearInboxesEmptiesViews) {
   EXPECT_TRUE(e.inbox_view(1).empty());
 }
 
-TEST_P(MessagePlane, EmptyPayloadIsANoOp) {
-  Engine e = make_engine(GetParam());
+TEST(MessagePlane, EmptyPayloadIsANoOp) {
+  Engine e = make_engine();
   e.push_broadcast(0, std::vector<std::size_t>{1, 2},
                    std::span<const Word>{});
   e.push(0, 1, Word{3});
@@ -150,8 +143,8 @@ TEST_P(MessagePlane, EmptyPayloadIsANoOp) {
   EXPECT_EQ(e.metrics().total_words, 1U);
 }
 
-TEST_P(MessagePlane, GatherDeliversOneSegmentPerSender) {
-  Engine e = make_engine(GetParam());
+TEST(MessagePlane, GatherDeliversOneSegmentPerSender) {
+  Engine e = make_engine();
   e.push_gather(1, 0, std::vector<Word>{10, 11});
   e.push_gather(2, 0, std::vector<Word>{20});
   e.push_gather(3, 0, std::vector<Word>{30, 31, 32});
@@ -165,7 +158,7 @@ TEST_P(MessagePlane, GatherDeliversOneSegmentPerSender) {
             (std::vector<Word>{10, 11, 20, 30, 31, 32}));
 }
 
-TEST_P(MessagePlane, AccountingMatchesMaterializedDelivery) {
+TEST(MessagePlane, AccountingMatchesMaterializedDelivery) {
   // The same logical traffic, once via shared payloads and once via plain
   // span pushes, must produce identical metrics and inbox contents —
   // zero-copy changes simulation cost, not model cost.
@@ -185,29 +178,27 @@ TEST_P(MessagePlane, AccountingMatchesMaterializedDelivery) {
       e.exchange();
     }
   };
-  for (const bool flat : {false, true}) {
-    Engine shared_e = make_engine(flat);
-    Engine plain_e = make_engine(flat);
-    drive(shared_e, true);
-    drive(plain_e, false);
-    const Metrics& a = shared_e.metrics();
-    const Metrics& b = plain_e.metrics();
-    EXPECT_EQ(a.rounds, b.rounds);
-    EXPECT_EQ(a.max_sent_words, b.max_sent_words);
-    EXPECT_EQ(a.max_received_words, b.max_received_words);
-    EXPECT_EQ(a.peak_storage_words, b.peak_storage_words);
-    EXPECT_EQ(a.total_words, b.total_words);
-    EXPECT_EQ(a.violations, b.violations);
-    for (std::size_t machine = 0; machine < 4; ++machine) {
-      EXPECT_EQ(view_words(shared_e.inbox_view(machine)),
-                plain_e.inbox_view(machine).to_vector())
-          << "machine " << machine << " flat=" << flat;
-    }
+  Engine shared_e = make_engine();
+  Engine plain_e = make_engine();
+  drive(shared_e, true);
+  drive(plain_e, false);
+  const Metrics& a = shared_e.metrics();
+  const Metrics& b = plain_e.metrics();
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.max_sent_words, b.max_sent_words);
+  EXPECT_EQ(a.max_received_words, b.max_received_words);
+  EXPECT_EQ(a.peak_storage_words, b.peak_storage_words);
+  EXPECT_EQ(a.total_words, b.total_words);
+  EXPECT_EQ(a.violations, b.violations);
+  for (std::size_t machine = 0; machine < 4; ++machine) {
+    EXPECT_EQ(view_words(shared_e.inbox_view(machine)),
+              plain_e.inbox_view(machine).to_vector())
+        << "machine " << machine;
   }
 }
 
-TEST_P(MessagePlane, StrictBudgetCountsSharedWords) {
-  Engine e = make_engine(GetParam(), 4, 8);
+TEST(MessagePlane, StrictBudgetCountsSharedWords) {
+  Engine e = make_engine(4, 8);
   std::vector<Word> payload(5);
   std::iota(payload.begin(), payload.end(), 0);
   // 2 destinations x 5 words = 10 sent > 8 budget.
@@ -215,10 +206,10 @@ TEST_P(MessagePlane, StrictBudgetCountsSharedWords) {
   EXPECT_THROW(e.exchange(), CapacityError);
 }
 
-TEST_P(MessagePlane, ReusableAfterSharedCapacityError) {
+TEST(MessagePlane, ReusableAfterSharedCapacityError) {
   // A strict-mode overflow mid-exchange must not leave stale shared sends
   // whose payload ids dangle into a later round's payload store.
-  Engine e = make_engine(GetParam(), 4, 4);
+  Engine e = make_engine(4, 4);
   std::vector<Word> payload(10);
   std::iota(payload.begin(), payload.end(), 0);
   e.push_broadcast(0, std::vector<std::size_t>{1, 2}, payload);
@@ -230,8 +221,8 @@ TEST_P(MessagePlane, ReusableAfterSharedCapacityError) {
   EXPECT_EQ(words.back(), 42U);
 }
 
-TEST_P(MessagePlane, CollectivesAgreeWithLegacySemantics) {
-  Engine e = make_engine(GetParam(), 6, 1 << 10);
+TEST(MessagePlane, CollectivesAgreeWithLegacySemantics) {
+  Engine e = make_engine(6, 1 << 10);
   std::vector<Word> payload(37);
   std::iota(payload.begin(), payload.end(), 100);
   const auto got = broadcast_view(e, 2, payload);
@@ -243,16 +234,11 @@ TEST_P(MessagePlane, CollectivesAgreeWithLegacySemantics) {
   EXPECT_EQ(e.metrics().violations, 0U);
 }
 
-INSTANTIATE_TEST_SUITE_P(DenseAndFlat, MessagePlane, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "flat" : "dense";
-                         });
-
-TEST_P(MessagePlane, OutboxMatchesPerWordPush) {
+TEST(MessagePlane, OutboxMatchesPerWordPush) {
   // The same logical traffic through a streamed outbox and through the
   // legacy per-word wrapper must produce identical inboxes and metrics.
-  Engine streamed = make_engine(GetParam());
-  Engine legacy = make_engine(GetParam());
+  Engine streamed = make_engine();
+  Engine legacy = make_engine();
   const std::vector<Word> run{7, 8, 9, 10};
   {
     Outbox ob = streamed.outbox(1);
@@ -279,8 +265,8 @@ TEST_P(MessagePlane, OutboxMatchesPerWordPush) {
             legacy.metrics().max_received_words);
 }
 
-TEST_P(MessagePlane, OutboxChecksMachineIds) {
-  Engine e = make_engine(GetParam());
+TEST(MessagePlane, OutboxChecksMachineIds) {
+  Engine e = make_engine();
   EXPECT_THROW((void)e.outbox(4), std::out_of_range);
   Outbox ob = e.outbox(0);
   EXPECT_THROW(ob.append(4, Word{1}), std::out_of_range);
@@ -288,11 +274,11 @@ TEST_P(MessagePlane, OutboxChecksMachineIds) {
                std::out_of_range);
 }
 
-TEST_P(MessagePlane, OutboxInterleavesWithSharedSplices) {
+TEST(MessagePlane, OutboxInterleavesWithSharedSplices) {
   // Splice positions are snapshotted at the shared push, so a burst
   // appended before the broadcast lands before the payload and a burst
   // appended after lands after — same contract as per-word pushes.
-  Engine e = make_engine(GetParam());
+  Engine e = make_engine();
   const std::vector<Word> payload{100, 101};
   Outbox ob = e.outbox(2);
   ob.append_run(0, std::vector<Word>{1, 2});
@@ -306,18 +292,15 @@ TEST_P(MessagePlane, OutboxInterleavesWithSharedSplices) {
 }
 
 /// Randomized coupling of the streamed-outbox staging against the legacy
-/// per-word push path, interleaved with broadcast/gather splices, across
-/// the dense, flat, and adaptive configurations. Inbox views and every
-/// Metrics field must agree word for word after every round.
-class StagingCoupling : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(StagingCoupling, RandomizedRunStreamsMatchPerWordPush) {
+/// per-word push path, interleaved with broadcast/gather splices. Inbox
+/// views and every Metrics field must agree word for word after every
+/// round.
+TEST(StagingCoupling, RandomizedRunStreamsMatchPerWordPush) {
   constexpr std::size_t kMachines = 6;
   Config cfg;
   cfg.num_machines = kMachines;
   cfg.words_per_machine = 1 << 14;
   cfg.strict = true;
-  cfg.dense_machine_limit = GetParam();
   Engine streamed(cfg);
   Engine legacy(cfg);
   std::mt19937_64 rng(0xA11CE5);
@@ -390,73 +373,18 @@ TEST_P(StagingCoupling, RandomizedRunStreamsMatchPerWordPush) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(DenseFlatAdaptive, StagingCoupling,
-                         ::testing::Values(std::size_t{512}, std::size_t{0},
-                                           Config::kAdaptive),
-                         [](const auto& info) {
-                           if (info.param == Config::kAdaptive) {
-                             return std::string("adaptive");
-                           }
-                           return info.param == 0 ? std::string("flat")
-                                                  : std::string("dense");
-                         });
-
-TEST(MessagePlaneConfig, AdaptiveFlipNeedsTwoAgreeingFlushes) {
-  // Two-flush hysteresis: one odd-shaped round must not flip the staging
-  // representation; two consecutive agreeing rounds must.
+TEST(MessagePlane, SharedSpliceKeepsSenderOrder) {
+  // Sender 2 queues first, but the inbox is sender-ascending, and sender
+  // 1's broadcast splices in after the unicast word it pushed before it.
   Config cfg;
-  cfg.num_machines = 4;
-  cfg.words_per_machine = 1 << 12;
-  cfg.dense_machine_limit = Config::kAdaptive;
+  cfg.num_machines = 3;
+  cfg.words_per_machine = 64;
   Engine e(cfg);
-  const auto scattered = [&e] {
-    // words == runs == 4: votes flat (words < 8 * runs).
-    for (std::size_t from = 0; from < 4; ++from) {
-      e.push(from, (from + 1) % 4, Word{from});
-    }
-    e.exchange();
-  };
-  const auto bulky = [&e] {
-    // One 64-word run: votes dense (64 >= 8 runs, 128 >= 16).
-    const std::vector<Word> run(64, Word{7});
-    e.outbox(0).append_run(1, run);
-    e.exchange();
-  };
-  ASSERT_TRUE(e.dense_staging_active());  // 4 <= 512: starts dense
-  // The start is a guess, not history: the first real flush may override
-  // it without waiting out the hysteresis.
-  scattered();
-  EXPECT_FALSE(e.dense_staging_active());
-  bulky();
-  EXPECT_FALSE(e.dense_staging_active());  // one dense vote: no flip
-  scattered();
-  EXPECT_FALSE(e.dense_staging_active());  // streak reset
-  bulky();
-  bulky();
-  EXPECT_TRUE(e.dense_staging_active());  // two agreeing votes: flip
-  scattered();
-  EXPECT_TRUE(e.dense_staging_active());
-  scattered();
-  EXPECT_FALSE(e.dense_staging_active());  // and back
-}
-
-TEST(MessagePlaneConfig, DenseMachineLimitSelectsRepresentation) {
-  // Observable difference is only in performance, but both representations
-  // must satisfy the same contract right at the boundary.
-  for (const std::size_t limit : {0UL, 2UL, 3UL, 512UL}) {
-    Config cfg;
-    cfg.num_machines = 3;
-    cfg.words_per_machine = 64;
-    cfg.dense_machine_limit = limit;
-    Engine e(cfg);
-    e.push(2, 0, Word{22});
-    e.push(1, 0, Word{11});
-    e.push_broadcast(1, std::vector<std::size_t>{0},
-                     std::vector<Word>{99});
-    e.exchange();
-    EXPECT_EQ(e.inbox_view(0).to_vector(), (std::vector<Word>{11, 99, 22}))
-        << limit;
-  }
+  e.push(2, 0, Word{22});
+  e.push(1, 0, Word{11});
+  e.push_broadcast(1, std::vector<std::size_t>{0}, std::vector<Word>{99});
+  e.exchange();
+  EXPECT_EQ(e.inbox_view(0).to_vector(), (std::vector<Word>{11, 99, 22}));
 }
 
 }  // namespace

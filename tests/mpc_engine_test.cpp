@@ -91,10 +91,10 @@ TEST(Engine, RejectsZeroMachines) {
 }
 
 TEST(Engine, LargeClusterFlatPathKeepsInboxContract) {
-  // Above the dense-representation limit the engine switches to flat
-  // per-sender buffers with counting-sort delivery; the observable
-  // contract (sender-ascending inbox order, metrics) must not change.
-  const std::size_t m = 600;  // > kDenseMachineLimit
+  // A large cluster on the per-sender buffers with counting-sort
+  // delivery: the observable contract (sender-ascending inbox order,
+  // metrics) must hold.
+  const std::size_t m = 600;
   Engine e(Config{m, 1 << 16, true});
   // Scattered single words from high and low senders, plus a span: the
   // inbox must concatenate by ascending sender, push order within.

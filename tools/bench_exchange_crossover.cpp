@@ -1,11 +1,4 @@
-// Re-tunes the dense/flat exchange choice for this box.
-//
-// The engine has two exchange representations: the dense per-(sender,
-// receiver) box matrix (O(m^2) storage, delivery by pure bulk copies) and
-// the flat per-sender outboxes (O(words) storage, counting-sort delivery).
-// By default the engine picks the path per flush from the traffic shape it
-// just delivered (Config::kAdaptive); an explicit Config::dense_machine_limit
-// pins the old static rule instead. This tool races all three on the two
+// Races the MPC engine's staging APIs and execution backends on the two
 // canonical traffic shapes:
 //
 //   scattered — every machine sprays single words at random destinations
@@ -14,20 +7,16 @@
 //               destinations in long runs (collectives, shard migration).
 //
 // Each cell is a wall-clock race over identical pushes through the same
-// Engine API; the adaptive column should track the better of the two
-// forced columns within noise on both shapes (validating the adapt_path
-// thresholds), and the printed suggestion is the largest machine count at
-// which dense still wins the scattered shape — the value to pin if you
-// want the static rule.
+// Engine API.
 //
-// A second set of tables races the *staging* APIs on the same shapes:
+// The first set of tables races the *staging* APIs on the two shapes:
 // legacy per-word push versus a streamed Outbox (per-word append, one
 // up-front sender check) versus run-length append_run (one descriptor +
 // one bulk copy per maximal same-destination stretch). On the bulk shape
 // run-length staging should win clearly; on the scattered shape (runs of
 // one word) the three should be within noise of each other.
 //
-// A final set of tables races the execution backends on the same shapes:
+// A second set of tables races the execution backends on the same shapes:
 // the sequential reference (threads=1) versus the shared-memory pool at 2
 // and 4 workers, staging through the same Outbox API.  The `parity` column
 // memcmps the full engine Metrics across arms — the pool must be
@@ -72,51 +61,6 @@ std::vector<std::uint32_t> make_dests(std::size_t machines,
     }
   }
   return dests;
-}
-
-double run_cell(std::size_t machines, std::size_t dense_limit,
-                std::size_t rounds, std::size_t words_per_machine,
-                bool bulk) {
-  mpc::Config cfg;
-  cfg.num_machines = machines;
-  cfg.words_per_machine = std::max<std::size_t>(words_per_machine * 2, 1024);
-  cfg.strict = false;
-  cfg.dense_machine_limit = dense_limit;
-  Engine engine(cfg);
-
-  const auto dests = make_dests(machines, words_per_machine, bulk);
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (std::size_t from = 0; from < machines; ++from) {
-      for (std::size_t i = 0; i < dests.size(); ++i) {
-        engine.push(from, (dests[i] + from) % machines,
-                    static_cast<Word>(i));
-      }
-    }
-    engine.exchange();
-  }
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-void sweep(const char* label, std::size_t rounds, std::size_t words,
-           bool bulk, std::size_t* suggested) {
-  std::printf("# %s traffic\n", label);
-  std::printf("%10s %12s %12s %12s %8s\n", "machines", "dense_ms", "flat_ms",
-              "adaptive_ms", "winner");
-  // The dense matrix allocates m^2 boxes — cap that side of the race at
-  // 4096 machines (the flat side keeps going in real use anyway).
-  for (std::size_t m = 64; m <= 4096; m *= 2) {
-    const double dense = run_cell(m, m, rounds, words, bulk);   // force dense
-    const double flat = run_cell(m, 0, rounds, words, bulk);    // force flat
-    const double adaptive =
-        run_cell(m, mpc::Config::kAdaptive, rounds, words, bulk);
-    const bool dense_wins = dense <= flat;
-    if (suggested != nullptr && dense_wins) *suggested = m;
-    std::printf("%10zu %12.2f %12.2f %12.2f %8s\n", m, dense, flat, adaptive,
-                dense_wins ? "dense" : "flat");
-  }
 }
 
 /// One timed arm of the backend race: the staging-and-exchange workload
@@ -183,7 +127,7 @@ double run_staging_cell(std::size_t machines, std::size_t rounds,
   cfg.num_machines = machines;
   cfg.words_per_machine = std::max<std::size_t>(words_per_machine * 2, 1024);
   cfg.strict = false;
-  Engine engine(cfg);  // default adaptive path, as production runs
+  Engine engine(cfg);
 
   const auto dests = make_dests(machines, words_per_machine, bulk);
   // Maximal same-destination stretches of the pattern, for kRuns.
@@ -234,7 +178,7 @@ double run_staging_cell(std::size_t machines, std::size_t rounds,
 
 void sweep_staging(const char* label, std::size_t rounds, std::size_t words,
                    bool bulk) {
-  std::printf("# staging race, %s traffic (adaptive exchange)\n", label);
+  std::printf("# staging race, %s traffic\n", label);
   std::printf("%10s %12s %12s %12s %8s\n", "machines", "push_ms",
               "outbox_ms", "run_ms", "winner");
   for (std::size_t m = 64; m <= 4096; m *= 2) {
@@ -262,19 +206,6 @@ int main(int argc, char** argv) {
 
   std::printf("# exchange crossover: %zu rounds x %zu words/machine/round\n",
               rounds, words);
-  std::size_t suggested = 0;
-  sweep("scattered", rounds, words, /*bulk=*/false, &suggested);
-  sweep("bulk", rounds, words, /*bulk=*/true, nullptr);
-  if (suggested == 0) {
-    std::printf(
-        "suggested static dense_machine_limit: 0 (flat always won "
-        "scattered)\n");
-  } else {
-    std::printf("suggested static dense_machine_limit: %zu\n", suggested);
-  }
-  std::printf(
-      "default Config::kAdaptive picks per flush; pin a static limit only "
-      "if the adaptive column loses both shapes above.\n\n");
   sweep_staging("bulk", rounds, words, /*bulk=*/true);
   sweep_staging("scattered", rounds, words, /*bulk=*/false);
   std::printf("\n");

@@ -456,21 +456,19 @@ int run_kill_storms(const std::string& run_bin, std::size_t storms,
 int main(int argc, char** argv) {
   try {
     const mpcg::Flags flags(argc, argv);
-    const std::size_t storms =
-        static_cast<std::size_t>(flags.get_int("storms", 20));
+    const std::size_t storms = flags.get_count("storms", 20);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    const std::size_t n = static_cast<std::size_t>(flags.get_int("n", 4096));
+    const std::size_t n = flags.get_count("n", 4096);
     const bool verbose = flags.get_bool("verbose", false);
-    const std::size_t kill_storms =
-        static_cast<std::size_t>(flags.get_int("kill-storms", 0));
+    const std::size_t kill_storms = flags.get_count("kill-storms", 0);
     const std::string default_run_bin =
         (std::filesystem::path(argv[0]).parent_path() / "mpcg_run").string();
     const std::string run_bin = flags.get_string("run-bin", default_run_bin);
     const std::string kill_driver = flags.get_string("kill-driver", "");
     const std::string kill_family = flags.get_string("kill-family", "");
     const std::string backend = flags.get_string("backend", "");
-    const std::int64_t threads_flag = flags.get_int("threads", 0);
+    const std::size_t threads_flag = flags.get_count("threads", 0);
     if (const auto unused = flags.unused(); !unused.empty()) {
       std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
       return 2;
@@ -480,13 +478,15 @@ int main(int argc, char** argv) {
                    backend.c_str());
       return 2;
     }
-    if (flags.has("threads") && threads_flag < 1) {
-      std::fprintf(stderr, "--threads must be >= 1 (got %lld)\n",
-                   static_cast<long long>(threads_flag));
+    if (flags.has("threads") &&
+        (threads_flag < 1 ||
+         threads_flag > mpcg::mpc::ParallelBackend::kMaxThreads)) {
+      std::fprintf(stderr, "--threads must be in [1, %zu] (got %zu)\n",
+                   mpcg::mpc::ParallelBackend::kMaxThreads, threads_flag);
       return 2;
     }
     std::size_t threads = backend == "parallel" ? 4 : 1;
-    if (flags.has("threads")) threads = static_cast<std::size_t>(threads_flag);
+    if (flags.has("threads")) threads = threads_flag;
     if (backend == "seq" && threads > 1) {
       std::fprintf(stderr, "--backend seq conflicts with --threads %zu\n",
                    threads);

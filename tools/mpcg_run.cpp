@@ -133,45 +133,37 @@ std::size_t base_words(std::size_t requested, std::size_t n) {
 }
 
 int run(const Flags& flags) {
+  // Every flag is read and checked before the graph is built, so a bad
+  // value fails fast instead of after a long generation.
   const std::string algo = flags.get_string("algo", "mis");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const double eps = flags.get_double("eps", 0.1);
   const bool check = flags.get_bool("check", false);
-
-  Graph g;
-  std::vector<double> weights;
-  if (flags.has("input")) {
-    auto loaded = read_edge_list_file(flags.get_string("input", ""));
-    g = std::move(loaded.graph);
-    if (loaded.weights) weights = std::move(*loaded.weights);
-  } else {
-    const std::string family = flags.get_string("family", "gnp_dense");
-    const auto n = static_cast<std::size_t>(flags.get_int("n", 4096));
-    g = graph_family(family, n, seed);
-  }
-  if (weights.empty() && algo == "weighted") {
-    Rng rng(seed);
-    weights = exponential_weights(g, 1.0, rng);
-  }
+  // --family/--n are read only without --input, so they stay unknown
+  // flags next to it.
+  const bool from_file = flags.has("input");
+  const std::string input = from_file ? flags.get_string("input", "") : "";
+  const std::string family =
+      from_file ? "" : flags.get_string("family", "gnp_dense");
+  const std::size_t n = from_file ? 0 : flags.get_count("n", 4096);
 
   const std::string faults_spec = flags.get_string("faults", "");
   const bool reprovision = flags.get_bool("reprovision", false);
   const bool integrity = flags.get_bool("integrity", false);
   const bool audit = flags.get_bool("audit", false);
-  const auto scrub_interval =
-      static_cast<std::size_t>(flags.get_int("scrub-interval", 0));
-  const auto words = static_cast<std::size_t>(flags.get_int("words", 0));
+  const std::size_t scrub_interval = flags.get_count("scrub-interval", 0);
+  const std::size_t words = flags.get_count("words", 0);
 
   const std::string backend = flags.get_string("backend", "");
-  const std::int64_t threads_flag = flags.get_int("threads", 0);
+  const std::size_t threads_flag = flags.get_count("threads", 0);
 
   const std::string checkpoint_dir = flags.get_string("checkpoint-dir", "");
-  const std::int64_t checkpoint_every = flags.get_int("checkpoint-every", 1);
-  const std::int64_t checkpoint_generations =
-      flags.get_int("checkpoint-generations", 0);
+  const std::size_t checkpoint_every = flags.get_count("checkpoint-every", 1);
+  const std::size_t checkpoint_generations =
+      flags.get_count("checkpoint-generations", 0);
   const bool resume = flags.get_bool("resume", false);
-  const std::int64_t stop_after_safe_points =
-      flags.get_int("stop-after-safe-points", 0);
+  const std::size_t stop_after_safe_points =
+      flags.get_count("stop-after-safe-points", 0);
 
   const auto unused = flags.unused();
   if (!unused.empty()) {
@@ -184,13 +176,14 @@ int run(const Flags& flags) {
                  backend.c_str());
     return 2;
   }
-  if (flags.has("threads") && threads_flag < 1) {
-    std::fprintf(stderr, "--threads must be >= 1 (got %lld)\n",
-                 static_cast<long long>(threads_flag));
+  if (flags.has("threads") &&
+      (threads_flag < 1 || threads_flag > mpc::ParallelBackend::kMaxThreads)) {
+    std::fprintf(stderr, "--threads must be in [1, %zu] (got %zu)\n",
+                 mpc::ParallelBackend::kMaxThreads, threads_flag);
     return 2;
   }
   std::size_t threads = backend == "parallel" ? 4 : 1;
-  if (flags.has("threads")) threads = static_cast<std::size_t>(threads_flag);
+  if (flags.has("threads")) threads = threads_flag;
   if (backend == "seq" && threads > 1) {
     std::fprintf(stderr, "--backend seq conflicts with --threads %zu\n",
                  threads);
@@ -199,19 +192,19 @@ int run(const Flags& flags) {
 
   const bool durable = !checkpoint_dir.empty();
   if (checkpoint_every < 1) {
-    std::fprintf(stderr, "--checkpoint-every must be >= 1 (got %lld)\n",
-                 static_cast<long long>(checkpoint_every));
+    std::fprintf(stderr, "--checkpoint-every must be >= 1 (got %zu)\n",
+                 checkpoint_every);
     return 2;
   }
   if (flags.has("checkpoint-generations") && checkpoint_generations < 1) {
-    std::fprintf(stderr, "--checkpoint-generations must be >= 1 (got %lld)\n",
-                 static_cast<long long>(checkpoint_generations));
+    std::fprintf(stderr, "--checkpoint-generations must be >= 1 (got %zu)\n",
+                 checkpoint_generations);
     return 2;
   }
   if (flags.has("stop-after-safe-points") && stop_after_safe_points < 1) {
     std::fprintf(stderr,
-                 "--stop-after-safe-points must be >= 1 (got %lld)\n",
-                 static_cast<long long>(stop_after_safe_points));
+                 "--stop-after-safe-points must be >= 1 (got %zu)\n",
+                 stop_after_safe_points);
     return 2;
   }
   if (!durable && (resume || flags.has("checkpoint-every") ||
@@ -228,19 +221,6 @@ int run(const Flags& flags) {
                          "mis|matching|vc|mis_cc\n");
     return 2;
   }
-  fault::DurableOptions durable_opt;
-  if (durable) {
-    durable_opt.dir = checkpoint_dir;
-    durable_opt.every = static_cast<std::size_t>(checkpoint_every);
-    durable_opt.generations =
-        static_cast<std::size_t>(checkpoint_generations);
-    durable_opt.resume = resume;
-    durable_opt.stop_flag = &g_stop;
-    durable_opt.stop_after_safe_points =
-        static_cast<std::size_t>(stop_after_safe_points);
-    std::signal(SIGTERM, mpcg_run_handle_stop);
-    std::signal(SIGINT, mpcg_run_handle_stop);
-  }
 
   fault::FaultPlan plan;
   if (!faults_spec.empty()) plan = fault::FaultPlan::parse(faults_spec);
@@ -251,6 +231,32 @@ int run(const Flags& flags) {
     std::fprintf(stderr, "--faults is only supported with --algo "
                          "mis|matching|vc|mis_cc|sort|route\n");
     return 2;
+  }
+
+  Graph g;
+  std::vector<double> weights;
+  if (from_file) {
+    auto loaded = read_edge_list_file(input);
+    g = std::move(loaded.graph);
+    if (loaded.weights) weights = std::move(*loaded.weights);
+  } else {
+    g = graph_family(family, n, seed);
+  }
+  if (weights.empty() && algo == "weighted") {
+    Rng rng(seed);
+    weights = exponential_weights(g, 1.0, rng);
+  }
+
+  fault::DurableOptions durable_opt;
+  if (durable) {
+    durable_opt.dir = checkpoint_dir;
+    durable_opt.every = checkpoint_every;
+    durable_opt.generations = checkpoint_generations;
+    durable_opt.resume = resume;
+    durable_opt.stop_flag = &g_stop;
+    durable_opt.stop_after_safe_points = stop_after_safe_points;
+    std::signal(SIGTERM, mpcg_run_handle_stop);
+    std::signal(SIGINT, mpcg_run_handle_stop);
   }
 
   print_kv("n", g.num_vertices());
