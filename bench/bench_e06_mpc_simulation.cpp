@@ -360,73 +360,6 @@ BENCHMARK(E06_StoreIntegrityOverhead)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// Backend parity (see mpc/backend.h): the same workload on the sequential
-// reference, on the parallel backend pinned to 1 thread (which must take
-// the identical code path), and on a 4-thread pool. The contract this row
-// pins is *determinism first*: outputs, freeze iterations, and every
-// logical engine metric bit-identical across backends (parity_identical),
-// with the sequential wall-clock within noise of the pre-backend engine
-// (the other E06 rows track that) and the parallel arms within a sane
-// band of it (parity_pct — this box has one core, so speedups are out of
-// scope; the row exists to catch pathological pool overhead).
-void E06_BackendParity(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph g = gnp_with_degree(n, 16.0, 13);
-  const MatchingMpcOptions seq_opt = opts(13);
-
-  MatchingMpcResult seq;
-  double seq_ms = 0.0;
-  {
-    const WallTimer timer;
-    seq = matching_mpc(g, seq_opt);
-    seq_ms = timer.elapsed_ms();
-  }
-
-  MatchingMpcOptions par1_opt = seq_opt;
-  par1_opt.threads = 1;
-  MatchingMpcResult par1;
-  double par1_ms = 0.0;
-  {
-    const WallTimer timer;
-    par1 = matching_mpc(g, par1_opt);
-    par1_ms = timer.elapsed_ms();
-  }
-
-  MatchingMpcOptions par4_opt = seq_opt;
-  par4_opt.threads = 4;
-  MatchingMpcResult par4;
-  double par4_ms = 0.0;
-  for (auto _ : state) {
-    const WallTimer timer;
-    par4 = matching_mpc(g, par4_opt);
-    par4_ms = timer.elapsed_ms();
-    benchmark::DoNotOptimize(par4.x.data());
-  }
-
-  const auto identical = [&seq](const MatchingMpcResult& r) {
-    return r.x == seq.x && r.cover == seq.cover &&
-           r.freeze_iteration == seq.freeze_iteration &&
-           std::memcmp(&r.metrics, &seq.metrics, sizeof(mpc::Metrics)) == 0;
-  };
-  emit_json_line("E06_BackendParity/" + std::to_string(n), n, g.num_edges(),
-                 par4.metrics.rounds, par4_ms,
-                 par4.metrics.peak_storage_words);
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["seq_ms"] = seq_ms;
-  state.counters["par1_ms"] = par1_ms;
-  state.counters["par4_ms"] = par4_ms;
-  state.counters["parity_pct"] =
-      seq_ms > 0.0 ? 100.0 * (par4_ms - seq_ms) / seq_ms : 0.0;
-  state.counters["parity_identical"] =
-      identical(par1) && identical(par4) ? 1.0 : 0.0;
-}
-BENCHMARK(E06_BackendParity)
-    ->Arg(1 << 16)
-    // 2^18 is the CI smoke row: backend parity at the matching smoke size.
-    ->Arg(1 << 18)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 // On-disk checkpoint overhead: the same fault-free run persisting a
 // durable generation every 4th safe point (see fault/durable.h). A durable
 // generation is a fresh serialization of the registered providers plus the

@@ -7,11 +7,11 @@
 namespace mpcg::cclique {
 
 Engine::Engine(std::size_t num_players, bool strict, bool integrity,
-               bool audit, std::size_t scrub_interval, std::size_t threads)
+               bool audit, std::size_t scrub_interval)
     : n_(num_players), strict_(strict), integrity_(integrity), audit_(audit),
-      scrub_interval_(scrub_interval), backend_(mpc::make_backend(threads)),
-      inbox_(num_players), broadcasting_(num_players, 0),
-      sent_(num_players, 0), received_(num_players, 0) {
+      scrub_interval_(scrub_interval), inbox_(num_players),
+      broadcasting_(num_players, 0), sent_(num_players, 0),
+      received_(num_players, 0) {
   if (num_players == 0) {
     throw std::invalid_argument("Engine: need at least one player");
   }
@@ -156,7 +156,7 @@ const std::vector<RouteView>& Engine::lenzen_route_view(
     const RouteStream& stream) {
   if (!pending_.empty() || !pending_broadcasts_.empty()) {
     throw std::logic_error(
-        "lenzen_route: flush queued sends with exchange() first");
+        "lenzen_route_view: flush queued sends with exchange() first");
   }
   if (route_view_.empty()) route_view_.resize(n_);
   for (const PlayerId p : route_touched_) {
@@ -254,36 +254,6 @@ const std::vector<RouteView>& Engine::lenzen_route_view(
     batch.clear();
   }
   return route_view_;
-}
-
-const std::vector<std::vector<Message>>& Engine::lenzen_route(
-    const RouteStream& stream) {
-  const std::vector<RouteView>& views = lenzen_route_view(stream);
-  if (route_delivered_.empty()) route_delivered_.resize(n_);
-  for (const PlayerId p : route_mat_touched_) route_delivered_[p].clear();
-  route_mat_touched_.clear();
-  for (const PlayerId p : route_touched_) {
-    std::vector<Message>& dst = route_delivered_[p];
-    route_mat_touched_.push_back(p);
-    const RouteView& view = views[p];
-    dst.reserve(view.size());
-    for (const RouteSegment& seg : view.segments()) {
-      for (std::uint32_t i = 0; i < seg.count; ++i) {
-        dst.push_back(Message{seg.from, p, seg.words[i]});
-      }
-    }
-    route_words_materialized_ += view.size();
-  }
-  return route_delivered_;
-}
-
-const std::vector<std::vector<Message>>& Engine::lenzen_route(
-    std::vector<Message> messages) {
-  route_restage_.clear();
-  for (const Message& msg : messages) {
-    route_restage_.append(msg.from, msg.to, msg.word);
-  }
-  return lenzen_route(route_restage_);
 }
 
 // ---------------------------------------------------------------------------

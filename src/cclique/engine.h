@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "fault/round_harness.h"
-#include "mpc/backend.h"
 #include "util/fnv.h"
 
 namespace mpcg::cclique {
@@ -62,13 +61,13 @@ struct Message {
   Word word;
 };
 
-/// Run-length staged message multiset for Engine::lenzen_route — the same
-/// span/run form the MPC engine's streamed outboxes use. A driver appends
-/// words (or whole word runs) instead of materializing 16-byte Message
-/// records; consecutive appends sharing a (from, to) pair extend one run
-/// descriptor over the contiguous word stream, so a vertex's burst to the
-/// leader stages as one descriptor + its words. Reusable: clear() between
-/// route calls keeps the buffers warm.
+/// Run-length staged message multiset for Engine::lenzen_route_view — the
+/// same span/run form the MPC engine's streamed outboxes use. A driver
+/// appends words (or whole word runs) instead of materializing 16-byte
+/// Message records; consecutive appends sharing a (from, to) pair extend
+/// one run descriptor over the contiguous word stream, so a vertex's burst
+/// to the leader stages as one descriptor + its words. Reusable: clear()
+/// between route calls keeps the buffers warm.
 class RouteStream {
  public:
   void clear() noexcept {
@@ -109,20 +108,6 @@ class RouteStream {
     }
   }
 
-  /// Appends another stream's staged runs and words, merging across the
-  /// boundary when the last open run and the other stream's first run
-  /// share a (from, to) pair — so concatenating per-chunk streams built
-  /// over a contiguous partition of an iteration domain, in chunk order,
-  /// yields exactly the stream the sequential loop would have staged.
-  void append_stream(const RouteStream& other) {
-    std::size_t pos = 0;
-    for (const Run& run : other.runs_) {
-      append_run(run.from, run.to,
-                 std::span<const Word>(other.words_.data() + pos, run.count));
-      pos += run.count;
-    }
-  }
-
  private:
   friend class Engine;
   struct Run {
@@ -145,12 +130,10 @@ struct RouteSegment {
 };
 
 /// Segmented per-player delivery view for Engine::lenzen_route_view — the
-/// cclique analogue of mpc::InboxView. Where the legacy lenzen_route
-/// materializes one 16-byte Message per routed word, the view holds one
-/// RouteSegment per delivered batch run: O(runs) descriptors over the
-/// already-resident stream words, zero per-word expansion. Segments are in
-/// delivery order (batch-major, then batch-run order), which matches the
-/// legacy per-player Message order word for word.
+/// cclique analogue of mpc::InboxView. The view holds one RouteSegment per
+/// delivered batch run: O(runs) descriptors over the already-resident
+/// stream words, zero per-word expansion. Segments are in delivery order
+/// (batch-major, then batch-run order).
 class RouteView {
  public:
   /// Words delivered to this player.
@@ -196,23 +179,12 @@ class Engine final : private fault::RoundTransport {
   /// over the point-to-point streams, the broadcast store, and the
   /// checkpoint generations, observable on a clean run only as
   /// Metrics::scrub_passes.  Inert without `integrity` (no digests exist).
-  /// `threads` selects the execution backend (see mpc/backend.h): 1 = the
-  /// sequential reference, > 1 = a shared-memory pool the drivers run
-  /// their per-player local loops through (outputs and all logical Metrics
-  /// are bit-identical across every value).
   explicit Engine(std::size_t num_players, bool strict = true,
                   bool integrity = false, bool audit = false,
-                  std::size_t scrub_interval = 0, std::size_t threads = 1);
+                  std::size_t scrub_interval = 0);
 
   [[nodiscard]] std::size_t num_players() const noexcept { return n_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
-
-  /// The execution backend driver loops share with this engine (the
-  /// engine's own exchange and routing stay sequential — they are O(runs)
-  /// bookkeeping, never the hot surface).
-  [[nodiscard]] mpc::ExecutionBackend& backend() noexcept {
-    return *backend_;
-  }
 
   /// Queues one word from `from` to `to` for the next exchange. At most one
   /// word per ordered pair per round (checked at exchange()).
@@ -247,28 +219,6 @@ class Engine final : private fault::RoundTransport {
   /// be flushed (exchange()d) first; mixing throws.
   const std::vector<RouteView>& lenzen_route_view(const RouteStream& stream);
 
-  /// Materializing form: routes via lenzen_route_view and expands the
-  /// delivered views into per-destination Message buckets (16 bytes per
-  /// routed word — the expansion the view form exists to avoid; the words
-  /// expanded are tallied in route_words_materialized()). Batch splits,
-  /// delivery order, and metrics are bit-identical to the view form.
-  const std::vector<std::vector<Message>>& lenzen_route(
-      const RouteStream& stream);
-
-  /// Legacy form: restages `messages` as a run-length stream (adjacent
-  /// same-pair messages merge into runs) and routes it. Batch splits,
-  /// delivery order, and metrics are bit-identical to the pre-stream
-  /// per-message routing.
-  const std::vector<std::vector<Message>>& lenzen_route(
-      std::vector<Message> messages);
-
-  /// Words expanded into Message records by the materializing lenzen_route
-  /// wrappers, cumulative. Stays 0 on the lenzen_route_view path — the E13
-  /// bench pins exactly that.
-  [[nodiscard]] std::size_t route_words_materialized() const noexcept {
-    return route_words_materialized_;
-  }
-
   /// Opaque copy of the staged round (pending sends, broadcast queue) plus
   /// Metrics; the cclique analogue of mpc::Engine::Snapshot.
   class Snapshot {
@@ -291,8 +241,9 @@ class Engine final : private fault::RoundTransport {
 
   /// Attaches a deterministic fault schedule (see
   /// fault::RoundHarness::attach; "machine" means player here).
-  /// lenzen_route treats every fault in a batch's two rounds as recovered:
-  /// the scheme's batch structure is its own retransmission unit.
+  /// lenzen_route_view treats every fault in a batch's two rounds as
+  /// recovered: the scheme's batch structure is its own retransmission
+  /// unit.
   void set_fault_plan(const fault::FaultPlan* plan,
                       fault::CheckpointRegistry* registry = nullptr,
                       bool recover = true) {
@@ -310,13 +261,8 @@ class Engine final : private fault::RoundTransport {
     harness_.set_durability(options, std::move(scope));
   }
 
-  /// Driver-announced safe point: parks the pool (no worker may touch
-  /// driver or provider state while a generation persists or a stop
-  /// unwinds), then fault::RoundHarness::safe_point.
-  void checkpoint_boundary() {
-    backend_->quiesce();
-    harness_.safe_point();
-  }
+  /// Driver-announced safe point: fault::RoundHarness::safe_point.
+  void checkpoint_boundary() { harness_.safe_point(); }
 
   /// Resume attempt (see fault::RoundHarness::try_resume; call once,
   /// after registering providers and attaching any fault plan).
@@ -408,9 +354,6 @@ class Engine final : private fault::RoundTransport {
   bool integrity_;
   bool audit_;
   std::size_t scrub_interval_;
-  /// Execution backend (ctor `threads` wide); shared with drivers via
-  /// backend(), quiesced at checkpoint_boundary().
-  std::unique_ptr<mpc::ExecutionBackend> backend_;
   Metrics metrics_;
   std::vector<Message> pending_;
   std::vector<PlayerId> pending_broadcasts_;
@@ -434,24 +377,16 @@ class Engine final : private fault::RoundTransport {
     std::uint32_t count;
     std::size_t offset;
   };
-  /// lenzen_route scratch, persistent across calls: per-destination
+  /// lenzen_route_view scratch, persistent across calls: per-destination
   /// segmented views (touched-only clearing), per-batch run chunks, and
   /// per-batch sender/receiver load counters (touched entries reset after
   /// routing), so a call allocates nothing after warm-up.
   std::vector<RouteView> route_view_;
   std::vector<PlayerId> route_touched_;
-  /// Materializing-wrapper scratch: per-destination Message buckets plus
-  /// their own touched list (the wrapper may be warm while view callers
-  /// run in between).
-  std::vector<std::vector<Message>> route_delivered_;
-  std::vector<PlayerId> route_mat_touched_;
-  std::size_t route_words_materialized_ = 0;
   std::vector<std::vector<BatchRun>> route_batches_;
   std::vector<std::size_t> route_batch_words_;
   std::vector<std::vector<std::uint32_t>> route_send_load_;
   std::vector<std::vector<std::uint32_t>> route_recv_load_;
-  /// Backs the legacy vector<Message> lenzen_route wrapper.
-  RouteStream route_restage_;
 
   /// The fault and durability harness; drives this engine as its
   /// transport.

@@ -88,7 +88,6 @@ class MatchingMpcRun {
       machines_ *= 2;
     }
     mpc::Config cfg{machines_, words_, o_.strict};
-    cfg.threads = o_.threads;
     cfg.integrity = o_.integrity;
     cfg.audit = o_.audit;
     cfg.scrub_interval = o_.scrub_interval;
@@ -695,53 +694,16 @@ class MatchingMpcRun {
   void announce(const std::vector<std::pair<VertexId, std::uint64_t>>& frozen,
                 const std::vector<VertexId>& removed) {
     if (frozen.empty() && removed.empty()) return;
-    mpc::ExecutionBackend& backend = engine_->backend();
-    if (backend.parallel()) {
-      // Chunked over the concatenated (frozen, removed) announcement list;
-      // per-home record order is the global list order (slot-ascending
-      // drain over a contiguous partition), so every home's staged part is
-      // identical to the sequential staging below.
-      const std::size_t nf = frozen.size();
-      const std::size_t total = nf + removed.size();
-      announce_shards_.reset(backend.threads(), machines_);
-      backend.run_chunks(
-          0, total, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (i < nf) {
-                const auto& [v, tf] = frozen[i];
-                announce_shards_.add(slot, home_[v], 0,
-                                     (static_cast<Word>(v) << 32) | tf);
-              } else {
-                const VertexId v = removed[i - nf];
-                announce_shards_.add(
-                    slot, home_[v], 0,
-                    (static_cast<Word>(v) << 32) | 0xffffffffULL);
-              }
-            }
-          });
-      announce_shards_.drain(
-          backend, [&](std::uint32_t sender,
-                       std::span<const mpc::StageRecord> records) {
-            auto& part = announce_parts_[sender];
-            for (const mpc::StageRecord& rec : records) {
-              part.push_back(rec.word);
-            }
-          });
-      for (const std::uint32_t h : announce_shards_.drained_senders()) {
-        announce_touched_.push_back(h);
-      }
-    } else {
-      const auto stage = [&](VertexId v, Word word) {
-        auto& part = announce_parts_[home_[v]];
-        if (part.empty()) announce_touched_.push_back(home_[v]);
-        part.push_back(word);
-      };
-      for (const auto& [v, tf] : frozen) {
-        stage(v, (static_cast<Word>(v) << 32) | tf);
-      }
-      for (const VertexId v : removed) {
-        stage(v, (static_cast<Word>(v) << 32) | 0xffffffffULL);
-      }
+    const auto stage = [&](VertexId v, Word word) {
+      auto& part = announce_parts_[home_[v]];
+      if (part.empty()) announce_touched_.push_back(home_[v]);
+      part.push_back(word);
+    };
+    for (const auto& [v, tf] : frozen) {
+      stage(v, (static_cast<Word>(v) << 32) | tf);
+    }
+    for (const VertexId v : removed) {
+      stage(v, (static_cast<Word>(v) << 32) | 0xffffffffULL);
     }
     const auto gathered = mpc::gather_to(*engine_, 0, announce_parts_);
     mpc::broadcast_view(*engine_, 0, gathered);
@@ -844,88 +806,26 @@ class MatchingMpcRun {
     // below collect first and then stream grouped by sender — scattered
     // direct pushes would hop across two cache lines per word over
     // `machines_` senders' staging tails.
-    mpc::ExecutionBackend& backend = engine_->backend();
-    if (backend.parallel()) {
-      // Parallel distribute scan. A sequential pre-pass collects every
-      // frontier vertex's active-upper span first: the lazy accessors
-      // (materialize/compact) mutate ActiveArcs' shared scratch and may
-      // not run concurrently, but the spans they return for *distinct*
-      // vertices stay valid simultaneously (per-vertex segments of the
-      // arc buffer). The chunked phase then reads only cached spans and
-      // plain arrays, writing slot-private scratch; merges are in
-      // ascending slot order over a contiguous partition of [0, k), so
-      // matched_uppers_, local_pairs_, machine_edges_, frontier_edges,
-      // and every staged engine stream are bit-identical to the
-      // sequential scan below.
-      upper_spans_.resize(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        upper_spans_[i] = active_arcs_.active_upper_neighbors(snapshot[i]);
-      }
-      const std::size_t slots = backend.threads();
-      if (slot_matched_.size() < slots) slot_matched_.resize(slots);
-      if (slot_pairs_.size() < slots) slot_pairs_.resize(slots);
-      slot_counts_.assign(slots * m, 0);
-      slot_frontier_.assign(slots, 0);
-      backend.run_chunks(
-          0, k, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-            auto& matched = slot_matched_[slot];
-            auto& pairs = slot_pairs_[slot];
-            matched.clear();
-            pairs.clear();
-            std::size_t* medges = slot_counts_.data() + slot * m;
-            std::size_t fe = 0;
-            for (std::size_t i = lo; i < hi; ++i) {
-              const std::uint32_t mv = machine_of_[i];
-              const auto mv8 = static_cast<std::uint8_t>(mv);
-              const auto uppers = upper_spans_[i];
-              fe += uppers.size();
-              for (std::size_t idx = 0; idx < uppers.size(); ++idx) {
-                const VertexId u = uppers[idx];
-                if (phase_machine8_[u] != mv8) continue;
-                if (!byte_exact && phase_machine_[u] != mv) continue;
-                matched.emplace_back(static_cast<VertexId>(i), u);
-                if (phase_can_freeze) {
-                  pairs.emplace_back(
-                      static_cast<VertexId>(i),
-                      static_cast<VertexId>(active_.dense_index(u)));
-                }
-                ++medges[mv];
-              }
-            }
-            slot_frontier_[slot] = fe;
-          });
-      for (std::size_t s = 0; s < slots; ++s) {
-        frontier_edges += slot_frontier_[s];
-        const std::size_t* medges = slot_counts_.data() + s * m;
-        for (std::size_t j = 0; j < m; ++j) machine_edges_[j] += medges[j];
-        matched_uppers_.insert(matched_uppers_.end(),
-                               slot_matched_[s].begin(),
-                               slot_matched_[s].end());
-        local_pairs_.insert(local_pairs_.end(), slot_pairs_[s].begin(),
-                            slot_pairs_[s].end());
-      }
-    } else {
-      for (std::size_t i = 0; i < k; ++i) {
-        const VertexId v = snapshot[i];
-        const std::uint32_t mv = machine_of_[i];
-        const auto mv8 = static_cast<std::uint8_t>(mv);
-        const auto uppers = active_arcs_.active_upper_neighbors(v);
-        frontier_edges += uppers.size();
-        for (std::size_t idx = 0; idx < uppers.size(); ++idx) {
-          const VertexId u = uppers[idx];
-          if (phase_machine8_[u] != mv8) continue;
-          if (!byte_exact && phase_machine_[u] != mv) continue;
-          // Match rate is ~1/m per arc: matches land in a flat sequential
-          // scratch so the filter scan stays free of staging machinery,
-          // and are streamed as per-vertex runs right below.
-          matched_uppers_.emplace_back(static_cast<VertexId>(i), u);
-          if (phase_can_freeze) {
-            local_pairs_.emplace_back(
-                static_cast<VertexId>(i),
-                static_cast<VertexId>(active_.dense_index(u)));
-          }
-          ++machine_edges_[mv];
+    for (std::size_t i = 0; i < k; ++i) {
+      const VertexId v = snapshot[i];
+      const std::uint32_t mv = machine_of_[i];
+      const auto mv8 = static_cast<std::uint8_t>(mv);
+      const auto uppers = active_arcs_.active_upper_neighbors(v);
+      frontier_edges += uppers.size();
+      for (std::size_t idx = 0; idx < uppers.size(); ++idx) {
+        const VertexId u = uppers[idx];
+        if (phase_machine8_[u] != mv8) continue;
+        if (!byte_exact && phase_machine_[u] != mv) continue;
+        // Match rate is ~1/m per arc: matches land in a flat sequential
+        // scratch so the filter scan stays free of staging machinery,
+        // and are streamed as per-vertex runs right below.
+        matched_uppers_.emplace_back(static_cast<VertexId>(i), u);
+        if (phase_can_freeze) {
+          local_pairs_.emplace_back(
+              static_cast<VertexId>(i),
+              static_cast<VertexId>(active_.dense_index(u)));
         }
+        ++machine_edges_[mv];
       }
     }
     result.frontier_edges_per_phase.push_back(frontier_edges);
@@ -1381,16 +1281,6 @@ class MatchingMpcRun {
   // Persistent announce staging (one vector per home machine).
   std::vector<std::vector<Word>> announce_parts_;
   std::vector<std::uint32_t> announce_touched_;
-  // Parallel-backend scratch (engine_->backend().parallel() only): cached
-  // active-upper spans from the sequential pre-pass, slot-private
-  // distribute collections (merged slot-ascending), and the sharded
-  // staging for the announce records.
-  std::vector<std::span<const VertexId>> upper_spans_;
-  std::vector<std::vector<std::pair<std::uint32_t, VertexId>>> slot_matched_;
-  std::vector<std::vector<std::pair<VertexId, VertexId>>> slot_pairs_;
-  std::vector<std::size_t> slot_counts_;
-  std::vector<std::size_t> slot_frontier_;
-  mpc::StageShards announce_shards_;
   // Persistent sender-bucket staging for the distribute records and the
   // freeze reports (one vector per machine, touched-only clearing; the
   // two uses never overlap in time).

@@ -72,9 +72,7 @@ struct MatchingMpcOptions {
   /// Words of memory per machine; 0 = auto (8n).
   std::size_t words_per_machine = 0;
   bool strict = true;
-  /// Execution-backend width (see mpc::Config::threads): 1 = the
-  /// sequential reference; > 1 runs the engine flushes and the distribute/
-  /// announce local loops over a shared-memory pool, bit-identical to 1.
+  /// Ignored; kept only because perfbench/perfbench.cpp assigns it.
   std::size_t threads = 1;
   /// Deterministic fault schedule consulted by the engine at round
   /// boundaries (borrowed; must outlive the run). nullptr = fault-free.

@@ -26,8 +26,7 @@ class MisCcliqueRun
   MisCcliqueRun(const Graph& g, const MisCcliqueOptions& options)
       : Driver(g, options),
         engine_(std::max<std::size_t>(n_, 1), options.strict,
-                options.integrity, options.audit, options.scrub_interval,
-                options.threads) {
+                options.integrity, options.audit, options.scrub_interval) {
     gather_budget_ = options.gather_budget != 0 ? options.gather_budget : n_;
     if (options.durable.enabled()) {
       engine_.set_durability(
@@ -85,38 +84,11 @@ class MisCcliqueRun
   std::size_t stage_gather(std::size_t lo, std::size_t hi, bool window) {
     const std::span<const VertexId> sources = gather_sources(lo, hi, window);
     route_stream_.clear();
-    mpc::ExecutionBackend& backend = engine_.backend();
-    if (backend.parallel()) {
-      // Per-chunk streams concatenated slot-ascending — append_stream's
-      // boundary merge makes that the sequential stream. Clear every slot
-      // up front: run_chunks skips empty chunks, which must not leak a
-      // previous gather's stream.
-      cache_upper_arcs(sources);
-      slot_streams_.resize(backend.threads());
-      for (cclique::RouteStream& s : slot_streams_) s.clear();
-      backend.run_chunks(
-          0, sources.size(),
-          [&](std::size_t slot, std::size_t clo, std::size_t chi) {
-            cclique::RouteStream& out = slot_streams_[slot];
-            for (std::size_t i = clo; i < chi; ++i) {
-              const VertexId v = sources[i];
-              for (const Arc& a : arc_spans_[i]) {
-                if (gathered(a.to, lo, hi, window)) {
-                  out.append(v, 0, encode_pair(v, a.to));
-                }
-              }
-            }
-          });
-      for (const cclique::RouteStream& s : slot_streams_) {
-        route_stream_.append_stream(s);
-      }
-    } else {
-      for (const VertexId v : sources) {
-        if (!residual_.alive(v)) continue;
-        for (const Arc& a : residual_.alive_upper_arcs(v)) {
-          if (gathered(a.to, lo, hi, window)) {
-            route_stream_.append(v, 0, encode_pair(v, a.to));
-          }
+    for (const VertexId v : sources) {
+      if (!residual_.alive(v)) continue;
+      for (const Arc& a : residual_.alive_upper_arcs(v)) {
+        if (gathered(a.to, lo, hi, window)) {
+          route_stream_.append(v, 0, encode_pair(v, a.to));
         }
       }
     }
@@ -165,9 +137,6 @@ class MisCcliqueRun
   cclique::Engine engine_;
   /// Run-length staging for the Lenzen gathers (persistent across phases).
   cclique::RouteStream route_stream_;
-  /// Parallel-backend staging scratch: one RouteStream per chunk slot,
-  /// concatenated slot-ascending into route_stream_.
-  std::vector<cclique::RouteStream> slot_streams_;
 };
 
 }  // namespace

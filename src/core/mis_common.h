@@ -41,10 +41,7 @@ struct MisCommonOptions {
   /// Throw CapacityError on budget violations (else count them).
   bool strict = true;
 
-  /// Execution-backend width (see mpc::Config::threads and
-  /// cclique::Engine's threads parameter): 1 = the sequential reference;
-  /// > 1 runs the engine flushes and the gather staging loops over a
-  /// shared-memory pool, bit-identical to 1.
+  /// Ignored; kept only because perfbench/perfbench.cpp assigns it.
   std::size_t threads = 1;
 
   /// Deterministic fault schedule consulted by the engine at round

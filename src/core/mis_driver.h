@@ -161,19 +161,6 @@ class MisDriver {
     return !window || (rank_of_[u] >= lo && rank_of_[u] < hi);
   }
 
-  /// Parallel-staging pre-pass: the lazy alive_upper_arcs accessor mutates
-  /// shared per-vertex segment state, so every source's span is
-  /// materialized sequentially before the chunks run (spans for distinct
-  /// vertices stay valid simultaneously); dead sources get empty spans.
-  void cache_upper_arcs(std::span<const VertexId> sources) {
-    arc_spans_.assign(sources.size(), {});
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      if (residual_.alive(sources[i])) {
-        arc_spans_[i] = residual_.alive_upper_arcs(sources[i]);
-      }
-    }
-  }
-
   const Graph& g_;
   const MisCommonOptions& options_;
   std::size_t n_;
@@ -181,8 +168,6 @@ class MisDriver {
   ResidualGraph residual_;
   std::vector<std::uint32_t> perm_;
   std::vector<std::uint32_t> rank_of_;
-  /// Per-source alive upper arcs cached by cache_upper_arcs().
-  std::vector<std::span<const Arc>> arc_spans_;
   /// Accumulating result, a member so the "loop" provider can serialize
   /// its counters at safe points.
   Result result_;
@@ -301,13 +286,17 @@ class MisDriver {
   /// Plays sequential greedy over the delivered gather (leader-side):
   /// builds its adjacency in the reusable CSR scratch, walks ranks
   /// [lo, hi), and returns the joiners. The only materialization is the
-  /// decoded pair list.
+  /// decoded pair list. A word naming an id >= n cannot be an edge: only
+  /// undetected wire corruption (integrity off) delivers one, and it is
+  /// dropped; in-range flips still reach the output.
   std::vector<VertexId> leader_greedy(std::size_t words, std::size_t lo,
                                       std::size_t hi) {
     pairs_scratch_.clear();
     pairs_scratch_.reserve(words);
-    net().for_each_leader_word(
-        [&](Word w) { pairs_scratch_.push_back(decode_pair(w)); });
+    net().for_each_leader_word([&](Word w) {
+      const auto [a, b] = decode_pair(w);
+      if (a < n_ && b < n_) pairs_scratch_.emplace_back(a, b);
+    });
     window_csr_.build(pairs_scratch_);
     std::vector<VertexId> mis_new;
     for (std::size_t r = lo; r < hi; ++r) {

@@ -65,7 +65,6 @@ class MisMpcRun : public mis_detail::MisDriver<MisMpcRun, MisMpcResult> {
       machines_ *= 2;
     }
     mpc::Config cfg{machines_, words_, options.strict};
-    cfg.threads = options.threads;
     cfg.integrity = options.integrity;
     cfg.audit = options.audit;
     cfg.scrub_interval = options.scrub_interval;
@@ -129,31 +128,12 @@ class MisMpcRun : public mis_detail::MisDriver<MisMpcRun, MisMpcResult> {
   /// home_[v] -> 0, so a burst stages as a single run.
   std::size_t stage_gather(std::size_t lo, std::size_t hi, bool window) {
     const std::span<const VertexId> sources = gather_sources(lo, hi, window);
-    mpc::ExecutionBackend& backend = engine_->backend();
-    if (backend.parallel()) {
-      cache_upper_arcs(sources);
-      stage_shards_.reset(backend.threads(), machines_);
-      backend.run_chunks(
-          0, sources.size(),
-          [&](std::size_t slot, std::size_t clo, std::size_t chi) {
-            for (std::size_t i = clo; i < chi; ++i) {
-              const VertexId v = sources[i];
-              for (const Arc& a : arc_spans_[i]) {
-                if (gathered(a.to, lo, hi, window)) {
-                  stage_shards_.add(slot, home_[v], 0, encode_pair(v, a.to));
-                }
-              }
-            }
-          });
-      drain_stage_shards(backend);
-    } else {
-      for (const VertexId v : sources) {
-        if (!residual_.alive(v)) continue;
-        mpc::Outbox ob = engine_->outbox(home_[v]);
-        for (const Arc& a : residual_.alive_upper_arcs(v)) {
-          if (gathered(a.to, lo, hi, window)) {
-            ob.append(0, encode_pair(v, a.to));
-          }
+    for (const VertexId v : sources) {
+      if (!residual_.alive(v)) continue;
+      mpc::Outbox ob = engine_->outbox(home_[v]);
+      for (const Arc& a : residual_.alive_upper_arcs(v)) {
+        if (gathered(a.to, lo, hi, window)) {
+          ob.append(0, encode_pair(v, a.to));
         }
       }
     }
@@ -189,53 +169,14 @@ class MisMpcRun : public mis_detail::MisDriver<MisMpcRun, MisMpcResult> {
   /// ride one outbox per vertex; the replies come from the neighbor's
   /// home and stay on the per-word wrapper.
   void exchange_marks() {
-    mpc::ExecutionBackend& backend = engine_->backend();
-    if (backend.parallel()) {
-      // push() is outbox(from).append(to, ...) — both stagings per arc
-      // shard by sender, in arc order, so the per-sender replay matches
-      // the sequential interleave exactly (also when the two homes
-      // coincide: the records land in one bucket, still in order).
-      const std::span<const VertexId> alive = residual_.alive_vertices();
-      cache_upper_arcs(alive);
-      stage_shards_.reset(backend.threads(), machines_);
-      backend.run_chunks(
-          0, alive.size(),
-          [&](std::size_t slot, std::size_t clo, std::size_t chi) {
-            for (std::size_t i = clo; i < chi; ++i) {
-              const VertexId v = alive[i];
-              for (const Arc& a : arc_spans_[i]) {
-                stage_shards_.add(slot, home_[v], home_[a.to],
-                                  encode_pair(v, a.to));
-                stage_shards_.add(slot, home_[a.to], home_[v],
-                                  encode_pair(a.to, v));
-              }
-            }
-          });
-      drain_stage_shards(backend);
-    } else {
-      for (const VertexId v : residual_.alive_vertices()) {
-        mpc::Outbox ob = engine_->outbox(home_[v]);
-        for (const Arc& a : residual_.alive_upper_arcs(v)) {
-          ob.append(home_[a.to], encode_pair(v, a.to));
-          engine_->push(home_[a.to], home_[v], encode_pair(a.to, v));
-        }
+    for (const VertexId v : residual_.alive_vertices()) {
+      mpc::Outbox ob = engine_->outbox(home_[v]);
+      for (const Arc& a : residual_.alive_upper_arcs(v)) {
+        ob.append(home_[a.to], encode_pair(v, a.to));
+        engine_->push(home_[a.to], home_[v], encode_pair(a.to, v));
       }
     }
     engine_->exchange();
-  }
-
-  /// Replays the collected staging records through the engine outboxes,
-  /// distinct senders in parallel (per-sender engine staging is disjoint;
-  /// per-sender record order is the sequential iteration order).
-  void drain_stage_shards(mpc::ExecutionBackend& backend) {
-    stage_shards_.drain(
-        backend,
-        [&](std::uint32_t snd, std::span<const mpc::StageRecord> recs) {
-          mpc::Outbox ob = engine_->outbox(snd);
-          for (const mpc::StageRecord& rec : recs) {
-            ob.append(rec.to, rec.word);
-          }
-        });
   }
 
   std::size_t machines_ = 0;
@@ -244,8 +185,6 @@ class MisMpcRun : public mis_detail::MisDriver<MisMpcRun, MisMpcResult> {
   std::vector<std::uint32_t> home_;
   /// The current commit's dying vertices, per home.
   std::vector<std::vector<Word>> dead_parts_;
-  /// Parallel-backend collect-then-drain shards (see mpc::StageShards).
-  mpc::StageShards stage_shards_;
 };
 
 }  // namespace

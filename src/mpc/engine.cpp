@@ -56,7 +56,6 @@ Engine::Engine(Config config) : config_(config) {
   if (config_.num_machines == 0) {
     throw std::invalid_argument("Engine: need at least one machine");
   }
-  backend_ = make_backend(config_.threads);
   const std::size_t m = config_.num_machines;
   out_tos_.assign(m, {});
   out_counts_.assign(m, {});
@@ -198,16 +197,11 @@ void Engine::deliver() {
     // Payloads staged but never pushed die here, per the lifetime contract.
     staged_payloads_.clear();
     staged_digests_.clear();
-    if (backend_->parallel()) {
-      exchange_parallel_flat(m);
-    } else {
-      exchange_plain_flat(m);
-    }
+    exchange_plain_flat(m);
   } else {
     // Shared-payload rounds splice store-aliasing segments between unicast
-    // stretches per (sender, receiver) pair; the splice machinery stays
-    // sequential on every backend (broadcast/gather rounds move O(n)
-    // words through O(m) descriptors — never the hot surface).
+    // stretches per (sender, receiver) pair (broadcast/gather rounds move
+    // O(n) words through O(m) descriptors — never the hot surface).
     exchange_shared(m);
   }
   if (config_.audit) finish_audit();
@@ -315,78 +309,6 @@ void Engine::exchange_plain_flat(std::size_t m) {
                                            received);
     check_budget(to, received, "received");
     // Whatever a machine received is resident until it processes it.
-    metrics_.peak_storage_words = std::max(metrics_.peak_storage_words,
-                                           received);
-  }
-}
-
-void Engine::exchange_parallel_flat(std::size_t m) {
-  // Slot-sharded flush (backend().parallel() only). Four phases:
-  //   A (parallel)   per-slot receiver histograms over each slot's
-  //                  contiguous ascending sender range;
-  //   B (sequential) combine the histograms in ascending slot order into
-  //                  recv_count_ and per-(slot, receiver) write bases —
-  //                  the positional image of the sequential
-  //                  sender-ascending delivery — and size the inboxes;
-  //   C (parallel)   each slot bulk-copies its senders' runs to its
-  //                  precomputed positions (disjoint across slots by
-  //                  construction) and clears its senders' staging;
-  //   D (sequential) receiving-side budget checks and metrics, ascending
-  //                  as always.
-  // The delivered inboxes are position-identical to exchange_plain_flat
-  // for any thread count: slots are ascending sender ranges, each slot
-  // writes its runs in sender-then-push order, and the bases concatenate
-  // the slots in order.
-  for (std::size_t from = 0; from < m; ++from) {
-    const std::size_t sent = out_words_[from].size();
-    metrics_.max_sent_words = std::max(metrics_.max_sent_words, sent);
-    metrics_.total_words += sent;
-    check_budget(from, sent, "sent");
-  }
-  const std::size_t slots = backend_->threads();
-  slot_count_.assign(slots * m, 0);
-  backend_->run_chunks(
-      0, m, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-        std::size_t* count = slot_count_.data() + slot * m;
-        for (std::size_t from = lo; from < hi; ++from) {
-          for_each_run(out_tos_[from], out_counts_[from].data(),
-                       [&](std::size_t to, std::size_t n) {
-                         count[to] += n;
-                       });
-        }
-      });
-  slot_cursor_.resize(slots * m);
-  for (std::size_t to = 0; to < m; ++to) {
-    std::size_t acc = 0;
-    for (std::size_t s = 0; s < slots; ++s) {
-      slot_cursor_[s * m + to] = acc;
-      acc += slot_count_[s * m + to];
-    }
-    recv_count_[to] = acc;
-    inbox_[to].clear();
-    inbox_[to].resize(acc);
-  }
-  backend_->run_chunks(
-      0, m, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-        std::size_t* cursor = slot_cursor_.data() + slot * m;
-        for (std::size_t from = lo; from < hi; ++from) {
-          const Word* words = out_words_[from].data();
-          std::size_t pos = 0;
-          for_each_run(out_tos_[from], out_counts_[from].data(),
-                       [&](std::size_t to, std::size_t count) {
-                         copy_run(inbox_[to].data() + cursor[to], words + pos,
-                                  count);
-                         cursor[to] += count;
-                         pos += count;
-                       });
-          clear_sender_staging(from);
-        }
-      });
-  for (std::size_t to = 0; to < m; ++to) {
-    const std::size_t received = recv_count_[to];
-    metrics_.max_received_words = std::max(metrics_.max_received_words,
-                                           received);
-    check_budget(to, received, "received");
     metrics_.peak_storage_words = std::max(metrics_.peak_storage_words,
                                            received);
   }
@@ -816,29 +738,6 @@ bool Engine::sender_stream_ok(std::size_t from) const {
 
 void Engine::verify_streams() const {
   const std::size_t m = config_.num_machines;
-  if (backend_->parallel()) {
-    // Re-digesting every sender's stream is the integrity layer's one
-    // O(words) pass — shard it. The throw stays sequential and ascending
-    // so the lowest failing sender is named, exactly as below.
-    verify_ok_.assign(m, 1);
-    backend_->run_chunks(
-        0, m, [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t from = lo; from < hi; ++from) {
-            verify_ok_[from] = sender_stream_ok(from) ? 1 : 0;
-          }
-        });
-    for (std::size_t from = 0; from < m; ++from) {
-      if (!verify_ok_[from]) {
-        throw IntegrityError(
-            "machine " + std::to_string(from) + " flush (" +
-            std::to_string(out_words_[from].size()) +
-            " words) fails its stream checksum in round " +
-            std::to_string(metrics_.rounds) +
-            ": corruption was not repaired before delivery");
-      }
-    }
-    return;
-  }
   for (std::size_t from = 0; from < m; ++from) {
     if (!sender_stream_ok(from)) {
       throw IntegrityError(
@@ -930,28 +829,6 @@ std::size_t Engine::repair_store() {
 }
 
 void Engine::verify_store() const {
-  const std::size_t blobs = staged_digests_.size();
-  if (backend_->parallel() && blobs > 1) {
-    verify_ok_.assign(blobs, 1);
-    backend_->run_chunks(
-        0, blobs, [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t id = lo; id < hi; ++id) {
-            verify_ok_[id] =
-                store_blob_ok(static_cast<PayloadId>(id)) ? 1 : 0;
-          }
-        });
-    for (std::size_t id = 0; id < blobs; ++id) {
-      if (!verify_ok_[id]) {
-        throw IntegrityError(
-            "payload blob " + std::to_string(id) + " (" +
-            std::to_string(staged_payloads_[id].size()) +
-            " words) fails its store digest in round " +
-            std::to_string(metrics_.rounds) +
-            ": corruption was not repaired before delivery");
-      }
-    }
-    return;
-  }
   for (std::size_t id = 0; id < staged_digests_.size(); ++id) {
     if (!store_blob_ok(static_cast<PayloadId>(id))) {
       throw IntegrityError(

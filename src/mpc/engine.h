@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "fault/round_harness.h"
-#include "mpc/backend.h"
 #include "util/fnv.h"
 
 namespace mpcg::mpc {
@@ -106,13 +105,6 @@ struct Config {
   /// that escaped the repair path throws IntegrityError (see DESIGN.md,
   /// "Determinism contract").
   std::size_t scrub_interval = 0;
-  /// Execution backend width (see mpc/backend.h): 1 = the sequential
-  /// reference (byte-for-byte the historical engine); > 1 = a shared-memory
-  /// pool of that many threads (caller included) running the contention-
-  /// free exchange surfaces and the drivers' per-machine local loops
-  /// concurrently.  Outputs and all logical Metrics are bit-identical
-  /// across every value (see DESIGN.md, "Execution backends").
-  std::size_t threads = 1;
 };
 
 /// Logical counters first-class; the fault and durability overhead
@@ -388,12 +380,6 @@ class Engine final : private fault::RoundTransport {
   [[nodiscard]] bool strict() const noexcept { return config_.strict; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
 
-  /// The execution backend this engine (and its drivers) run per-machine
-  /// work through — Config::threads wide. Drivers use
-  /// backend().parallel_for_machines / run_chunks for their local-phase
-  /// loops so engine and driver share one pool.
-  [[nodiscard]] ExecutionBackend& backend() noexcept { return *backend_; }
-
   /// Opens a streamed outbox for machine `from` — the one up-front sender
   /// check; appends through the handle pay a single destination compare
   /// each. Valid until the next exchange(). This is how the hot producers
@@ -533,17 +519,10 @@ class Engine final : private fault::RoundTransport {
 
   /// Driver-announced safe point (a driver loop boundary where the
   /// registered providers' state is self-consistent and the message plane
-  /// is quiescent): parks the pool, then polls the stop flag and persists
+  /// is quiescent): polls the stop flag and persists
   /// (fault::RoundHarness::safe_point).  Drivers call it unconditionally at
   /// their loop tops.
-  void checkpoint_boundary() {
-    // No worker may touch engine or provider state while a generation is
-    // persisted or a stop unwinds. No-op on the sequential backend, and
-    // cheap on the parallel one (run_chunks is blocking, so workers are
-    // already idle — this waits until they are *parked*).
-    backend_->quiesce();
-    harness_.safe_point();
-  }
+  void checkpoint_boundary() { harness_.safe_point(); }
 
   /// Resume attempt (call once, after registering checkpoint providers and
   /// before the first round; see fault::RoundHarness::try_resume).  The
@@ -648,13 +627,6 @@ class Engine final : private fault::RoundTransport {
   /// for the round just delivered; throws AuditError on violation.
   void finish_audit() const;
   void exchange_plain_flat(std::size_t m);
-  /// Slot-sharded unicast flush used when backend().parallel(): per-slot
-  /// sender-range histograms, one sequential prefix/budget pass, then
-  /// positional run copies into exactly-sized inboxes — the delivered
-  /// inboxes and all Metrics are position-identical to
-  /// exchange_plain_flat for any thread count (see DESIGN.md, "Execution
-  /// backends").
-  void exchange_parallel_flat(std::size_t m);
   void exchange_shared(std::size_t m);
   /// Delivers one sender's staged runs into the inboxes (and, with
   /// `emit_segs`, interleaved segment lists for shared-round receivers):
@@ -672,11 +644,6 @@ class Engine final : private fault::RoundTransport {
   std::vector<std::span<const Word>>& touch_segs(std::size_t to);
 
   Config config_;
-  /// Execution backend (Config::threads wide); shared with the drivers via
-  /// backend(). Destroyed last-ish in reverse member order, after every
-  /// run_chunks has joined (run_chunks is blocking, so no chunk can
-  /// outlive the call that launched it).
-  std::unique_ptr<ExecutionBackend> backend_;
   Metrics metrics_;
   /// Per-sender outboxes: out_words_[from] is the sender's staged words in
   /// push order, described by the run tags in
@@ -729,15 +696,6 @@ class Engine final : private fault::RoundTransport {
   std::vector<std::size_t> bucket_count_;
   std::vector<std::size_t> bucket_cursor_;
   std::vector<Word> scatter_;
-  /// Parallel-flush scratch (backend().parallel() only): per-slot receiver
-  /// histograms and write cursors, slot-major ([slot * m + to]) — merged in
-  /// ascending slot order, which is what makes the parallel flush
-  /// position-identical to the sequential one.
-  std::vector<std::size_t> slot_count_;
-  std::vector<std::size_t> slot_cursor_;
-  /// Parallel verify scratch: per-sender / per-blob ok flags (the throw,
-  /// which must name the lowest failing index, stays sequential).
-  mutable std::vector<char> verify_ok_;
   /// Shared-round scratch: one sender's shared sends in chronological
   /// order, with seq rewritten to the within-pair splice offset.
   std::vector<SharedSend> sender_sends_;

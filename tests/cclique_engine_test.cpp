@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "cclique/engine.h"
 
 namespace mpcg::cclique {
@@ -74,9 +78,9 @@ TEST(CcEngine, ManyBroadcastersOneRound) {
 
 TEST(CcEngine, LenzenFeasibleBatchTwoRounds) {
   Engine e(4);
-  std::vector<Message> msgs;
-  for (PlayerId p = 0; p < 4; ++p) msgs.push_back({p, 0, p});
-  const auto delivered = e.lenzen_route(std::move(msgs));
+  RouteStream stream;
+  for (PlayerId p = 0; p < 4; ++p) stream.append(p, 0, p);
+  const auto& delivered = e.lenzen_route_view(stream);
   EXPECT_EQ(delivered[0].size(), 4U);
   EXPECT_EQ(e.metrics().rounds, 2U);
   EXPECT_EQ(e.metrics().lenzen_batches, 1U);
@@ -85,57 +89,73 @@ TEST(CcEngine, LenzenFeasibleBatchTwoRounds) {
 TEST(CcEngine, LenzenOverloadSplitsBatches) {
   Engine e(3);
   // 7 messages to player 0; receiver budget is n=3 per batch.
-  std::vector<Message> msgs;
+  RouteStream stream;
   for (int i = 0; i < 7; ++i) {
-    msgs.push_back({static_cast<PlayerId>(i % 3), 0,
-                    static_cast<Word>(i)});
+    stream.append(static_cast<PlayerId>(i % 3), 0, static_cast<Word>(i));
   }
-  const auto delivered = e.lenzen_route(std::move(msgs));
+  const auto& delivered = e.lenzen_route_view(stream);
   EXPECT_EQ(delivered[0].size(), 7U);
   EXPECT_EQ(e.metrics().lenzen_batches, 3U);  // ceil(7/3)
   EXPECT_EQ(e.metrics().rounds, 6U);
 }
 
-TEST(CcEngine, LenzenRouteStreamMatchesMessageForm) {
-  // The run-length stream (per-word appends and whole-run appends alike)
-  // must reproduce the legacy per-message routing exactly: same delivery
-  // contents and order, same batch splits, same metrics.
-  Engine by_stream(3);
-  Engine by_messages(3);
-  const std::vector<Word> burst{40, 41, 42, 43, 44};
-  RouteStream stream;
-  std::vector<Message> msgs;
-  for (int i = 0; i < 7; ++i) {
-    const auto from = static_cast<PlayerId>(i % 3);
-    stream.append(from, 0, static_cast<Word>(i));
-    msgs.push_back({from, 0, static_cast<Word>(i)});
-  }
-  stream.append_run(2, 1, burst);
-  for (const Word w : burst) msgs.push_back({2, 1, w});
-  EXPECT_EQ(stream.size(), msgs.size());
-  const auto& a = by_stream.lenzen_route(stream);
-  const auto& b = by_messages.lenzen_route(std::move(msgs));
-  for (PlayerId p = 0; p < 3; ++p) {
-    ASSERT_EQ(a[p].size(), b[p].size()) << "player " << p;
-    for (std::size_t i = 0; i < a[p].size(); ++i) {
-      EXPECT_EQ(a[p][i].from, b[p][i].from);
-      EXPECT_EQ(a[p][i].word, b[p][i].word);
+/// A player's delivered (sender, word) sequence, in delivery order.
+std::vector<std::pair<PlayerId, Word>> flatten(const RouteView& view) {
+  std::vector<std::pair<PlayerId, Word>> out;
+  for (const RouteSegment& seg : view.segments()) {
+    for (std::uint32_t i = 0; i < seg.count; ++i) {
+      out.emplace_back(seg.from, seg.words[i]);
     }
   }
-  EXPECT_EQ(by_stream.metrics().rounds, by_messages.metrics().rounds);
-  EXPECT_EQ(by_stream.metrics().lenzen_batches,
-            by_messages.metrics().lenzen_batches);
-  EXPECT_EQ(by_stream.metrics().total_words,
-            by_messages.metrics().total_words);
-  EXPECT_EQ(by_stream.metrics().max_player_received,
-            by_messages.metrics().max_player_received);
+  return out;
+}
+
+TEST(CcEngine, LenzenRouteStreamMatchesMessageForm) {
+  // Per-word appends and whole-run appends of the same message sequence
+  // must route identically: same delivery contents and order, same batch
+  // splits, same metrics.
+  Engine by_words(3);
+  Engine by_runs(3);
+  const std::vector<Word> burst{40, 41, 42, 43, 44};
+  RouteStream words;
+  RouteStream runs;
+  for (int i = 0; i < 7; ++i) {
+    const auto from = static_cast<PlayerId>(i % 3);
+    const Word w = static_cast<Word>(i);
+    words.append(from, 0, w);
+    runs.append_run(from, 0, std::span<const Word>(&w, 1));
+  }
+  for (const Word w : burst) words.append(2, 1, w);
+  runs.append_run(2, 1, burst);
+  EXPECT_EQ(words.size(), runs.size());
+  const auto& a = by_words.lenzen_route_view(words);
+  const auto& b = by_runs.lenzen_route_view(runs);
+  for (PlayerId p = 0; p < 3; ++p) {
+    EXPECT_EQ(a[p].segments().size(), b[p].segments().size())
+        << "player " << p;
+    EXPECT_EQ(flatten(a[p]), flatten(b[p])) << "player " << p;
+  }
+  // Batch-major delivery: player 0's words in staging order across its
+  // three batches, and the burst split over batches without reordering.
+  const std::vector<std::pair<PlayerId, Word>> want0{
+      {0, 0}, {1, 1}, {2, 2}, {0, 3}, {1, 4}, {2, 5}, {0, 6}};
+  const std::vector<std::pair<PlayerId, Word>> want1{
+      {2, 40}, {2, 41}, {2, 42}, {2, 43}, {2, 44}};
+  EXPECT_EQ(flatten(a[0]), want0);
+  EXPECT_EQ(flatten(a[1]), want1);
+  EXPECT_EQ(by_words.metrics().rounds, by_runs.metrics().rounds);
+  EXPECT_EQ(by_words.metrics().lenzen_batches,
+            by_runs.metrics().lenzen_batches);
+  EXPECT_EQ(by_words.metrics().total_words, by_runs.metrics().total_words);
+  EXPECT_EQ(by_words.metrics().max_player_received,
+            by_runs.metrics().max_player_received);
 }
 
 TEST(CcEngine, LenzenRejectsWhileSendsQueued) {
   Engine e(3);
   e.send(0, 1, 1);
-  EXPECT_THROW(e.lenzen_route(std::vector<Message>{}), std::logic_error);
-  EXPECT_THROW(e.lenzen_route(RouteStream{}), std::logic_error);
+  const RouteStream empty;
+  EXPECT_THROW((void)e.lenzen_route_view(empty), std::logic_error);
 }
 
 TEST(CcEngine, OutOfRangePlayersThrow) {

@@ -122,6 +122,39 @@ TEST(EngineIntegrity, UndetectedCorruptionAltersDeliveredWords) {
   EXPECT_EQ(eng.metrics().words_retransmitted, 0U);
 }
 
+TEST(EngineIntegrity, UndetectedGatherCorruptionNeverCrashesMis) {
+  // integrity off: a bit-flipped gather word can decode to an id >= n. The
+  // MIS leader drops such a word (it names no edge) instead of indexing
+  // with it, so every run returns; in-range flips may still alter the MIS.
+  const Graph g = make_family("gnp_dense", 2048, 1);
+  MisMpcOptions mpc_opt;
+  mpc_opt.seed = 1;
+  const std::size_t mpc_rounds = mis_mpc(g, mpc_opt).metrics.rounds;
+  for (std::size_t r = 0; r < mpc_rounds; ++r) {
+    fault::FaultPlan plan;
+    plan.add_corrupt(2, r);
+    MisMpcOptions opt = mpc_opt;
+    opt.fault_plan = &plan;
+    const MisMpcResult res = mis_mpc(g, opt);
+    EXPECT_EQ(res.metrics.corruptions_detected, 0U) << "mis_mpc round " << r;
+    EXPECT_LE(res.metrics.corruptions_injected, 1U) << "mis_mpc round " << r;
+  }
+  MisCcliqueOptions cc_opt;
+  cc_opt.seed = 1;
+  const std::size_t cc_rounds = mis_cclique(g, cc_opt).metrics.rounds;
+  for (std::size_t r = 0; r < cc_rounds; ++r) {
+    fault::FaultPlan plan;
+    plan.add_corrupt(2, r);
+    MisCcliqueOptions opt = cc_opt;
+    opt.fault_plan = &plan;
+    const MisCcliqueResult res = mis_cclique(g, opt);
+    EXPECT_EQ(res.metrics.corruptions_detected, 0U)
+        << "mis_cclique round " << r;
+    EXPECT_LE(res.metrics.corruptions_injected, 1U)
+        << "mis_cclique round " << r;
+  }
+}
+
 TEST(EngineIntegrity, BudgetExhaustionWithoutRecoveryThrows) {
   fault::FaultPlan plan;  // budget is 2: the third corrupt of one flush
   plan.add_corrupt(0, 0).add_corrupt(0, 0).add_corrupt(0, 0);

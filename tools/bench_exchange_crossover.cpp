@@ -1,5 +1,4 @@
-// Races the MPC engine's staging APIs and execution backends on the two
-// canonical traffic shapes:
+// Races the MPC engine's staging APIs on the two canonical traffic shapes:
 //
 //   scattered — every machine sprays single words at random destinations
 //               (per-edge driver traffic: rank phases, sparsified rounds);
@@ -9,26 +8,17 @@
 // Each cell is a wall-clock race over identical pushes through the same
 // Engine API.
 //
-// The first set of tables races the *staging* APIs on the two shapes:
-// legacy per-word push versus a streamed Outbox (per-word append, one
-// up-front sender check) versus run-length append_run (one descriptor +
-// one bulk copy per maximal same-destination stretch). On the bulk shape
-// run-length staging should win clearly; on the scattered shape (runs of
-// one word) the three should be within noise of each other.
-//
-// A second set of tables races the execution backends on the same shapes:
-// the sequential reference (threads=1) versus the shared-memory pool at 2
-// and 4 workers, staging through the same Outbox API.  The `parity` column
-// memcmps the full engine Metrics across arms — the pool must be
-// bit-identical to sequential on every logical counter, whatever it costs
-// or saves in wall clock.
+// The tables race legacy per-word push versus a streamed Outbox (per-word
+// append, one up-front sender check) versus run-length append_run (one
+// descriptor + one bulk copy per maximal same-destination stretch). On the
+// bulk shape run-length staging should win clearly; on the scattered shape
+// (runs of one word) the three should be within noise of each other.
 //
 // Usage: bench_exchange_crossover [rounds] [words_per_machine]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -61,61 +51,6 @@ std::vector<std::uint32_t> make_dests(std::size_t machines,
     }
   }
   return dests;
-}
-
-/// One timed arm of the backend race: the staging-and-exchange workload
-/// above, run with `threads` execution-backend workers.  Returns the wall
-/// time and copies out the engine metrics so callers can pin cross-backend
-/// parity (every logical counter must be bit-identical to threads=1).
-double run_backend_cell(std::size_t machines, std::size_t threads,
-                        std::size_t rounds, std::size_t words_per_machine,
-                        bool bulk, mpc::Metrics* metrics_out) {
-  mpc::Config cfg;
-  cfg.num_machines = machines;
-  cfg.words_per_machine = std::max<std::size_t>(words_per_machine * 2, 1024);
-  cfg.strict = false;
-  cfg.threads = threads;
-  Engine engine(cfg);
-
-  const auto dests = make_dests(machines, words_per_machine, bulk);
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (std::size_t from = 0; from < machines; ++from) {
-      mpc::Outbox ob = engine.outbox(from);
-      for (std::size_t i = 0; i < dests.size(); ++i) {
-        ob.append((dests[i] + from) % machines, static_cast<Word>(i));
-      }
-    }
-    engine.exchange();
-  }
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-  if (metrics_out != nullptr) *metrics_out = engine.metrics();
-  return ms;
-}
-
-void sweep_backend(const char* label, std::size_t rounds, std::size_t words,
-                   bool bulk) {
-  std::printf("# backend race, %s traffic (seq vs parallel pool)\n", label);
-  std::printf("%10s %12s %12s %12s %8s\n", "machines", "seq_ms", "par2_ms",
-              "par4_ms", "parity");
-  for (std::size_t m = 64; m <= 4096; m *= 2) {
-    mpc::Metrics seq_metrics{};
-    mpc::Metrics par2_metrics{};
-    mpc::Metrics par4_metrics{};
-    const double seq =
-        run_backend_cell(m, 1, rounds, words, bulk, &seq_metrics);
-    const double par2 =
-        run_backend_cell(m, 2, rounds, words, bulk, &par2_metrics);
-    const double par4 =
-        run_backend_cell(m, 4, rounds, words, bulk, &par4_metrics);
-    const bool parity =
-        std::memcmp(&seq_metrics, &par2_metrics, sizeof(mpc::Metrics)) == 0 &&
-        std::memcmp(&seq_metrics, &par4_metrics, sizeof(mpc::Metrics)) == 0;
-    std::printf("%10zu %12.2f %12.2f %12.2f %8s\n", m, seq, par2, par4,
-                parity ? "ok" : "MISMATCH");
-  }
 }
 
 enum class Staging { kPush, kOutbox, kRuns };
@@ -208,8 +143,5 @@ int main(int argc, char** argv) {
               rounds, words);
   sweep_staging("bulk", rounds, words, /*bulk=*/true);
   sweep_staging("scattered", rounds, words, /*bulk=*/false);
-  std::printf("\n");
-  sweep_backend("scattered", rounds, words, /*bulk=*/false);
-  sweep_backend("bulk", rounds, words, /*bulk=*/true);
   return 0;
 }

@@ -17,14 +17,6 @@
 //
 // Usage:
 //   mpcg_chaos [--storms 20] [--seed 1] [--n 4096] [--verbose]
-//              [--backend seq|parallel] [--threads N]
-//
-// --backend/--threads (see src/mpc/backend.h) arm the *stormy* runs with
-// the shared-memory parallel backend while the clean references stay
-// sequential — so a parallel soak checks faults + integrity + recovery on
-// the pool against the sequential fault-free reference, bit for bit. Kill
-// storms pass the flags through to every child mpcg_run (reference,
-// victim, and resume), so the SIGKILL lands on a live pool.
 //
 // Kill/resume storm mode (process-level durability soak; see fault/durable.h):
 //   mpcg_chaos --kill-storms 20 [--run-bin path/to/mpcg_run] [--n 20000]
@@ -88,8 +80,8 @@ bool check(bool ok, const char* what, const std::string& label,
 // One storm against matching_mpc (algo == "matching") or the vertex-cover
 // wrapper on top of it (algo == "vc").
 void storm_matching(const Graph& g, std::uint64_t seed, bool want_cover,
-                    std::size_t threads, const std::string& label,
-                    std::size_t& failures, StormStats& stats) {
+                    const std::string& label, std::size_t& failures,
+                    StormStats& stats) {
   MatchingMpcOptions opt;
   opt.eps = 0.1;
   opt.seed = seed;
@@ -98,7 +90,6 @@ void storm_matching(const Graph& g, std::uint64_t seed, bool want_cover,
   const auto plan = fault::FaultPlan::random_storm(
       mix64(seed, 1, 0xc4a05), /*num_machines=*/2, clean.metrics.rounds, 8);
   MatchingMpcOptions faulty = opt;
-  faulty.threads = threads;
   faulty.fault_plan = &plan;
   faulty.integrity = true;
   faulty.audit = true;
@@ -135,9 +126,8 @@ void storm_matching(const Graph& g, std::uint64_t seed, bool want_cover,
   stats.scrubs += stormy.metrics.scrub_passes;
 }
 
-void storm_mis(const Graph& g, std::uint64_t seed, std::size_t threads,
-               const std::string& label, std::size_t& failures,
-               StormStats& stats) {
+void storm_mis(const Graph& g, std::uint64_t seed, const std::string& label,
+               std::size_t& failures, StormStats& stats) {
   MisMpcOptions opt;
   opt.seed = seed;
   const auto clean = mis_mpc(g, opt);
@@ -145,7 +135,6 @@ void storm_mis(const Graph& g, std::uint64_t seed, std::size_t threads,
   const auto plan = fault::FaultPlan::random_storm(
       mix64(seed, 2, 0xc4a05), /*num_machines=*/2, clean.metrics.rounds, 8);
   MisMpcOptions faulty = opt;
-  faulty.threads = threads;
   faulty.fault_plan = &plan;
   faulty.integrity = true;
   faulty.audit = true;
@@ -178,8 +167,8 @@ void storm_mis(const Graph& g, std::uint64_t seed, std::size_t threads,
 }
 
 void storm_mis_cclique(const Graph& g, std::uint64_t seed,
-                       std::size_t threads, const std::string& label,
-                       std::size_t& failures, StormStats& stats) {
+                       const std::string& label, std::size_t& failures,
+                       StormStats& stats) {
   MisCcliqueOptions opt;
   opt.seed = seed;
   const auto clean = mis_cclique(g, opt);
@@ -187,7 +176,6 @@ void storm_mis_cclique(const Graph& g, std::uint64_t seed,
   const auto plan = fault::FaultPlan::random_storm(
       mix64(seed, 3, 0xc4a05), /*num_machines=*/4, clean.metrics.rounds, 8);
   MisCcliqueOptions faulty = opt;
-  faulty.threads = threads;
   faulty.fault_plan = &plan;
   faulty.integrity = true;
   faulty.audit = true;
@@ -345,7 +333,7 @@ std::string make_temp_dir() {
 /// relaunch, bit-identity check. Returns true iff the storm is clean.
 bool kill_storm(const std::string& run_bin, const char* driver,
                 const char* family, std::size_t n, std::uint64_t trial_seed,
-                std::size_t threads, const std::string& label, bool verbose,
+                const std::string& label, bool verbose,
                 std::size_t& kills_landed, std::size_t& failures) {
   // Seeds reach mpcg_run through a signed flag parser — keep them positive.
   const std::uint64_t run_seed = (trial_seed & 0x7fffffffULL) | 1ULL;
@@ -355,9 +343,6 @@ bool kill_storm(const std::string& run_bin, const char* driver,
       "--n", std::to_string(n),
       "--seed", std::to_string(run_seed),
       "--check", "true"};
-  if (threads > 1) {
-    base.insert(base.end(), {"--threads", std::to_string(threads)});
-  }
 
   const RunResult ref = run_child(run_bin, base, /*kill_after_ms=*/-1.0);
   if (ref.signaled || ref.exit_code != 0) {
@@ -406,7 +391,7 @@ bool kill_storm(const std::string& run_bin, const char* driver,
 }
 
 int run_kill_storms(const std::string& run_bin, std::size_t storms,
-                    std::uint64_t seed, std::size_t n, std::size_t threads,
+                    std::uint64_t seed, std::size_t n,
                     const std::string& only_driver,
                     const std::string& only_family, bool verbose) {
   static constexpr const char* kDrivers[] = {"mis", "matching", "vc",
@@ -425,8 +410,8 @@ int run_kill_storms(const std::string& run_bin, std::size_t storms,
                               driver + ", " + family + ")";
     const std::size_t before = failures;
     try {
-      kill_storm(run_bin, driver, family, n, trial_seed, threads, label,
-                 verbose, kills_landed, failures);
+      kill_storm(run_bin, driver, family, n, trial_seed, label, verbose,
+                 kills_landed, failures);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "FAIL %s: %s\n", label.c_str(), e.what());
       ++failures;
@@ -467,34 +452,13 @@ int main(int argc, char** argv) {
     const std::string run_bin = flags.get_string("run-bin", default_run_bin);
     const std::string kill_driver = flags.get_string("kill-driver", "");
     const std::string kill_family = flags.get_string("kill-family", "");
-    const std::string backend = flags.get_string("backend", "");
-    const std::size_t threads_flag = flags.get_count("threads", 0);
     if (const auto unused = flags.unused(); !unused.empty()) {
       std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
       return 2;
     }
-    if (!backend.empty() && backend != "seq" && backend != "parallel") {
-      std::fprintf(stderr, "--backend must be seq or parallel (got %s)\n",
-                   backend.c_str());
-      return 2;
-    }
-    if (flags.has("threads") &&
-        (threads_flag < 1 ||
-         threads_flag > mpcg::mpc::ParallelBackend::kMaxThreads)) {
-      std::fprintf(stderr, "--threads must be in [1, %zu] (got %zu)\n",
-                   mpcg::mpc::ParallelBackend::kMaxThreads, threads_flag);
-      return 2;
-    }
-    std::size_t threads = backend == "parallel" ? 4 : 1;
-    if (flags.has("threads")) threads = threads_flag;
-    if (backend == "seq" && threads > 1) {
-      std::fprintf(stderr, "--backend seq conflicts with --threads %zu\n",
-                   threads);
-      return 2;
-    }
     if (kill_storms != 0) {
-      return run_kill_storms(run_bin, kill_storms, seed, n, threads,
-                             kill_driver, kill_family, verbose);
+      return run_kill_storms(run_bin, kill_storms, seed, n, kill_driver,
+                             kill_family, verbose);
     }
 
     static constexpr const char* kDrivers[] = {"mis", "matching", "vc",
@@ -514,15 +478,15 @@ int main(int argc, char** argv) {
       const std::size_t before = failures;
       try {
         if (std::string(driver) == "mis") {
-          storm_mis(g, storm_seed, threads, label, failures, stats);
+          storm_mis(g, storm_seed, label, failures, stats);
         } else if (std::string(driver) == "matching") {
-          storm_matching(g, storm_seed, /*want_cover=*/false, threads, label,
-                         failures, stats);
+          storm_matching(g, storm_seed, /*want_cover=*/false, label, failures,
+                         stats);
         } else if (std::string(driver) == "vc") {
-          storm_matching(g, storm_seed, /*want_cover=*/true, threads, label,
-                         failures, stats);
+          storm_matching(g, storm_seed, /*want_cover=*/true, label, failures,
+                         stats);
         } else {
-          storm_mis_cclique(g, storm_seed, threads, label, failures, stats);
+          storm_mis_cclique(g, storm_seed, label, failures, stats);
         }
       } catch (const std::exception& e) {
         // A throwing storm (budget blown, unrepaired rot, audit breach) is

@@ -9,7 +9,6 @@
 //                   |sort|route
 //            [--family gnp_dense --n 4096 | --input graph.txt]
 //            [--seed 1] [--eps 0.1] [--check]
-//            [--backend seq|parallel] [--threads N]
 //            [--faults "crash:<machine>@<round>,corrupt:1@4,
 //                       corrupt_store:0@5,corrupt_ckpt:2@6,..."]
 //            [--words W] [--reprovision] [--integrity] [--audit]
@@ -31,14 +30,6 @@
 // `sort` runs the distributed sample sort on seeded words; `route` runs
 // Lenzen routing on the congested clique plus a ring exchange — both are
 // primitive-level fault surfaces with from-scratch --check validation.
-//
-// --backend selects the execution backend (see src/mpc/backend.h): `seq`
-// (default) is the sequential reference; `parallel` runs the engine
-// flushes and driver staging loops over a shared-memory pool (4 threads
-// unless --threads says otherwise) with bit-identical outputs and logical
-// metrics. --threads N sets the pool width explicitly (N = 1 is seq).
-// Applies to the engine-backed algos (mis, mis_cc, matching, vc, sort,
-// route); the message-passing baselines ignore it.
 //
 // --check validates the output and exits 3 on an invalid solution.
 //
@@ -154,9 +145,6 @@ int run(const Flags& flags) {
   const std::size_t scrub_interval = flags.get_count("scrub-interval", 0);
   const std::size_t words = flags.get_count("words", 0);
 
-  const std::string backend = flags.get_string("backend", "");
-  const std::size_t threads_flag = flags.get_count("threads", 0);
-
   const std::string checkpoint_dir = flags.get_string("checkpoint-dir", "");
   const std::size_t checkpoint_every = flags.get_count("checkpoint-every", 1);
   const std::size_t checkpoint_generations =
@@ -168,25 +156,6 @@ int run(const Flags& flags) {
   const auto unused = flags.unused();
   if (!unused.empty()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unused.front().c_str());
-    return 2;
-  }
-
-  if (!backend.empty() && backend != "seq" && backend != "parallel") {
-    std::fprintf(stderr, "--backend must be seq or parallel (got %s)\n",
-                 backend.c_str());
-    return 2;
-  }
-  if (flags.has("threads") &&
-      (threads_flag < 1 || threads_flag > mpc::ParallelBackend::kMaxThreads)) {
-    std::fprintf(stderr, "--threads must be in [1, %zu] (got %zu)\n",
-                 mpc::ParallelBackend::kMaxThreads, threads_flag);
-    return 2;
-  }
-  std::size_t threads = backend == "parallel" ? 4 : 1;
-  if (flags.has("threads")) threads = threads_flag;
-  if (backend == "seq" && threads > 1) {
-    std::fprintf(stderr, "--backend seq conflicts with --threads %zu\n",
-                 threads);
     return 2;
   }
 
@@ -267,7 +236,6 @@ int run(const Flags& flags) {
     MisMpcOptions opt;
     opt.seed = seed;
     opt.words_per_machine = words;
-    opt.threads = threads;
     opt.fault_plan = plan_ptr;
     opt.integrity = integrity;
     opt.audit = audit;
@@ -310,7 +278,6 @@ int run(const Flags& flags) {
   if (algo == "mis_cc") {
     MisCcliqueOptions opt;
     opt.seed = seed;
-    opt.threads = threads;
     opt.fault_plan = plan_ptr;
     opt.integrity = integrity;
     opt.audit = audit;
@@ -335,7 +302,6 @@ int run(const Flags& flags) {
     const std::size_t n_words = std::max<std::size_t>(g.num_vertices(), 64);
     const std::size_t machines = std::clamp<std::size_t>(n_words / 64, 2, 64);
     mpc::Config cfg{machines, base_words(words, n_words), true};
-    cfg.threads = threads;
     cfg.integrity = integrity;
     cfg.audit = audit;
     cfg.scrub_interval = scrub_interval;
@@ -370,7 +336,7 @@ int run(const Flags& flags) {
     const std::size_t players = std::clamp<std::size_t>(g.num_vertices(),
                                                         4, 4096);
     cclique::Engine engine(players, /*strict=*/true, integrity, audit,
-                           scrub_interval, threads);
+                           scrub_interval);
     fault::CheckpointRegistry route_registry;
     if (plan_ptr != nullptr) engine.set_fault_plan(plan_ptr, &route_registry);
     for (std::size_t p = 0; p < players; ++p) {
@@ -391,7 +357,7 @@ int run(const Flags& flags) {
         staged.push_back({static_cast<cclique::PlayerId>(p), to, w});
       }
     }
-    const auto& delivered = engine.lenzen_route(stream);
+    const auto& delivered = engine.lenzen_route_view(stream);
     print_kv("players", players);
     print_kv("routed_words", stream.size());
     print_kv("clique_rounds", engine.metrics().rounds);
@@ -399,8 +365,13 @@ int run(const Flags& flags) {
     if (plan_ptr != nullptr) print_fault_metrics(engine.metrics());
     if (check) {
       std::vector<cclique::Message> got;
-      for (const auto& bucket : delivered) {
-        got.insert(got.end(), bucket.begin(), bucket.end());
+      for (std::size_t p = 0; p < delivered.size(); ++p) {
+        for (const cclique::RouteSegment& seg : delivered[p].segments()) {
+          for (std::uint32_t i = 0; i < seg.count; ++i) {
+            got.push_back({seg.from, static_cast<cclique::PlayerId>(p),
+                           seg.words[i]});
+          }
+        }
       }
       const auto key = [](const cclique::Message& m) {
         return std::make_tuple(m.from, m.to, m.word);
@@ -428,7 +399,6 @@ int run(const Flags& flags) {
     opt.eps = eps;
     opt.seed = seed;
     opt.simulation.words_per_machine = words;
-    opt.simulation.threads = threads;
     opt.simulation.fault_plan = plan_ptr;
     opt.simulation.integrity = integrity;
     opt.simulation.audit = audit;
