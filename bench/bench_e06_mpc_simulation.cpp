@@ -363,10 +363,11 @@ BENCHMARK(E06_StoreIntegrityOverhead)
 // On-disk checkpoint overhead: the same fault-free run persisting a
 // durable generation every 4th safe point (see fault/durable.h). A durable
 // generation is a fresh serialization of the registered providers plus the
-// engine section, written through the two-slot ring with an atomic rename,
-// so the acceptance row (2^16) wants overhead_pct under ~5% wall-clock —
-// and the outputs bit-identical to the non-persistent run
-// (durable_identical).
+// engine section, written through the two-chain ring: a delta record
+// appended to the newest chain, or a new base (temp file + atomic rename)
+// once that chain's log would outgrow its base. The acceptance row (2^16)
+// wants overhead_pct under ~5% wall-clock — and the outputs bit-identical
+// to the non-persistent run (durable_identical).
 void E06_DiskCheckpointOverhead(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Graph g = gnp_with_degree(n, 16.0, 13);

@@ -111,7 +111,7 @@ IntegralMatchingResult integral_matching(
                 sizeof(mpc::Metrics));
     std::vector<fault::DurableSection> sections;
     sections.push_back({"outer", std::move(w)});
-    outer_ring->save(next_iter, outer_scope, std::move(sections));
+    outer_ring->save(next_iter, outer_scope, sections);
   };
 
   if (durable && options.durable.resume) {

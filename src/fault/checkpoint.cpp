@@ -8,14 +8,10 @@
 
 namespace mpcg::fault {
 
-namespace {
-
-/// Charge of shipping `now` given the provider's previous image `prev`
-/// (same length): two header words (offset, length) plus the payload per
-/// maximal dirty stretch, capped at a full re-serialization.
-std::size_t dirty_range_cost(const CheckpointRegistry::Word* prev,
-                             const CheckpointRegistry::Word* now,
-                             std::size_t words) {
+std::size_t dirty_range_cost(std::span<const std::uint64_t> prev,
+                             std::span<const std::uint64_t> now,
+                             std::vector<DirtyRange>* ranges) {
+  const std::size_t words = now.size();
   std::size_t cost = 0;
   std::size_t i = 0;
   while (i < words) {
@@ -27,12 +23,11 @@ std::size_t dirty_range_cost(const CheckpointRegistry::Word* prev,
     while (j < words && prev[j] != now[j]) ++j;
     cost += 2 + (j - i);
     if (cost >= words) return words;  // delta lost; charge a full save
+    if (ranges != nullptr) ranges->push_back({i, j - i});
     i = j;
   }
   return cost;
 }
-
-}  // namespace
 
 void CheckpointRegistry::register_state(std::string name, SaveFn save,
                                         RestoreFn restore) {
@@ -53,9 +48,9 @@ std::size_t CheckpointRegistry::capture(std::size_t round) {
     const Word csum = Fnv::digest({fresh_.data() + offset, words});
     if (prev != nullptr && i < prev->images.size() &&
         prev->images[i].words == words) {
-      const std::size_t delta =
-          dirty_range_cost(prev->buffer.data() + prev->images[i].offset,
-                           fresh_.data() + offset, words);
+      const std::size_t delta = dirty_range_cost(
+          {prev->buffer.data() + prev->images[i].offset, words},
+          {fresh_.data() + offset, words});
       cost += delta;
       if (delta >= words && words != 0) all_deltas = false;
     } else {
@@ -153,13 +148,6 @@ std::size_t CheckpointRegistry::corrupt_generation(std::size_t age,
   return f.count;
 }
 
-std::vector<DurableSection> CheckpointRegistry::save_sections() {
-  std::vector<DurableSection> sections;
-  sections.resize(providers_.size());
-  save_sections_into(sections);
-  return sections;
-}
-
 void CheckpointRegistry::save_sections_into(std::vector<DurableSection>& out) {
   if (out.size() < providers_.size()) out.resize(providers_.size());
   for (std::size_t i = 0; i < providers_.size(); ++i) {
@@ -188,16 +176,8 @@ void CheckpointRegistry::install_sections(
   }
 }
 
-std::size_t CheckpointRegistry::save_to(DurableRing& ring, std::uint64_t round,
-                                        const std::string& scope,
-                                        std::vector<DurableSection> extra) {
-  std::vector<DurableSection> sections = save_sections();
-  for (DurableSection& s : extra) sections.push_back(std::move(s));
-  return ring.save(round, scope, std::move(sections));
-}
-
 std::optional<DurableLoad> CheckpointRegistry::load_from(
-    const DurableRing& ring, const std::string& scope) {
+    DurableRing& ring, const std::string& scope) {
   std::optional<DurableLoad> loaded = ring.load(scope);
   if (loaded) install_sections(loaded->checkpoint.sections);
   return loaded;

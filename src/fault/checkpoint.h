@@ -57,6 +57,17 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The one diff engine behind both the registry's incremental capture
+/// charge and the on-disk delta records (fault/durable.h): walks the
+/// maximal stretches where `now` differs from `prev` (same length) and
+/// returns their cost, two header words (offset, length) plus the changed
+/// words per stretch, capped at now.size() — a full re-serialization.
+/// Each stretch is appended to `ranges` when given; once the cap is hit
+/// the walk stops early and the appended stretches are incomplete.
+std::size_t dirty_range_cost(std::span<const std::uint64_t> prev,
+                             std::span<const std::uint64_t> now,
+                             std::vector<DirtyRange>* ranges = nullptr);
+
 /// A registry of named state providers.  capture() serializes every
 /// provider into one flat word buffer (a new ring generation); restore()
 /// hands each provider back exactly the words it wrote, from the newest
@@ -114,18 +125,14 @@ class CheckpointRegistry {
   /// exactly the live state, so the live state *is* the newest image.
   void recapture_newest();
 
-  /// Fresh-serializes every provider into one named DurableSection each
-  /// (registration order).  Independent of capture(): it touches neither
-  /// the generation ring nor the capture/delta counters, so persisting to
-  /// disk never perturbs the in-memory checkpoint accounting that PR 6–8
-  /// tests pin.
-  [[nodiscard]] std::vector<DurableSection> save_sections();
-
-  /// save_sections() into a caller-owned scratch vector: the first
-  /// num_providers() entries are (re)filled in registration order, reusing
-  /// their payload capacity, and entries beyond that (e.g. an engine's
-  /// trailing "__engine" section) are left untouched. Steady-state
-  /// persists therefore allocate nothing on the serialization side.
+  /// Fresh-serializes every provider into one named DurableSection each,
+  /// in registration order, into a caller-owned scratch vector: the first
+  /// num_providers() entries are (re)filled, reusing their payload
+  /// capacity, and entries beyond that (e.g. an engine's trailing
+  /// "__engine" section) are left untouched.  Independent of capture(): it
+  /// touches neither the generation ring nor the capture/delta counters,
+  /// so persisting to disk never perturbs the in-memory checkpoint
+  /// accounting.
   void save_sections_into(std::vector<DurableSection>& out);
 
   /// Reinstates every registered provider from the same-named section.
@@ -135,18 +142,11 @@ class CheckpointRegistry {
   /// CheckpointError naming the missing provider.
   void install_sections(std::span<const DurableSection> sections);
 
-  /// Persists one durable generation: save_sections() plus `extra`
-  /// (engine-owned sections), written through `ring`.  Returns the words
-  /// written to disk.
-  std::size_t save_to(DurableRing& ring, std::uint64_t round,
-                      const std::string& scope,
-                      std::vector<DurableSection> extra);
-
   /// Loads the newest verified on-disk generation for `scope` and installs
   /// the provider sections.  Returns the full load (so the caller can
   /// consume engine-owned sections and the round tag), or nullopt on a
   /// clean fresh start.  Propagates DurableRing::load's typed errors.
-  std::optional<DurableLoad> load_from(const DurableRing& ring,
+  std::optional<DurableLoad> load_from(DurableRing& ring,
                                        const std::string& scope);
 
   /// Names of the providers whose images fail verification in generation
@@ -223,7 +223,6 @@ class CheckpointRegistry {
   [[nodiscard]] Generation& gen(std::size_t age) {
     return ring_[ring_.size() - 1 - age];
   }
-  void serialize_into(Generation& g);
 
   std::size_t generations_ = kDefaultGenerations;
   std::vector<Provider> providers_;

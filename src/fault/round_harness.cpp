@@ -306,8 +306,10 @@ void RoundHarness::set_durability(const DurableOptions& options,
 
 void RoundHarness::persist() {
   // Scratch layout: provider sections, then one trailing "__engine"
-  // section. The buffers survive across persists, so the steady state
-  // reserializes in place instead of reallocating the provider state.
+  // section. The ring keeps the written generation to diff the next one
+  // against and hands its previous buffers back in exchange, so the
+  // steady state reserializes in place instead of reallocating the
+  // provider state or copying it.
   const std::size_t nprov =
       registry_ != nullptr ? registry_->num_providers() : 0;
   scratch_.resize(nprov + 1);

@@ -383,8 +383,8 @@ class RoundHarness {
   /// persistence cadence).
   std::size_t safe_points_ = 0;
   /// Serialization scratch recycled across persists (provider sections
-  /// followed by one "__engine" section): steady-state saves reuse the
-  /// payload buffers instead of reallocating the provider state.
+  /// followed by one "__engine" section), its payload buffers swapped with
+  /// the ring's previous generation on every save.
   std::vector<DurableSection> scratch_;
 };
 

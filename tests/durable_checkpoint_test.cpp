@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -102,6 +103,84 @@ bool same_checkpoint(const DurableCheckpoint& a, const DurableCheckpoint& b) {
   return true;
 }
 
+/// Generation `seq` of a small evolving provider state: a fixed-size
+/// section with a few changed stretches per generation (shipped as dirty
+/// ranges), a growing section (resized, so shipped whole), an engine-like
+/// section whose ranges would cost more than the section (shipped whole)
+/// and an empty one.
+DurableCheckpoint generation(std::uint64_t seq) {
+  std::vector<std::uint64_t> fixed(128);
+  for (std::size_t i = 0; i < fixed.size(); ++i) fixed[i] = i * 1000;
+  for (std::uint64_t k = 1; k <= seq; ++k) {
+    fixed[(k * 37) % 128] += k;
+    fixed[(k * 37 + 1) % 128] ^= k << 8;
+    fixed[(k * 11 + 5) % 128] += 1;
+  }
+  std::vector<std::uint64_t> grow(seq);
+  for (std::uint64_t k = 0; k < seq; ++k) grow[k] = k * k + seq;
+  DurableCheckpoint c;
+  c.seq = seq;
+  c.round = 10 * seq;
+  c.scope = "s";
+  c.sections.push_back({"fixed", std::move(fixed)});
+  c.sections.push_back({"grow", std::move(grow)});
+  c.sections.push_back({"__engine", {seq, seq * 2, 7}});
+  c.sections.push_back({"empty", {}});
+  return c;
+}
+
+/// Persists generation(seq) through `ring`; returns the words written.
+std::size_t save_generation(DurableRing& ring, std::uint64_t seq) {
+  DurableCheckpoint c = generation(seq);
+  return ring.save(c.round, c.scope, c.sections);
+}
+
+/// The slot holding the chain whose newest verified generation has the
+/// highest seq.
+std::size_t newest_slot(const DurableRing& ring) {
+  std::size_t best = 0;
+  std::uint64_t best_seq = 0;
+  for (std::size_t slot = 0; slot < DurableRing::kSlots; ++slot) {
+    std::error_code ec;
+    if (!std::filesystem::exists(ring.slot_path(slot), ec)) continue;
+    const auto c = fault::read_checkpoint_file(ring.slot_path(slot));
+    if (c.checkpoint.seq > best_seq) {
+      best_seq = c.checkpoint.seq;
+      best = slot;
+    }
+  }
+  return best;
+}
+
+/// A fresh ring under `dir` holding generations 1-5: bases of 1 and 2 in
+/// the two slots, then generations 3-5 appended to 2's chain as records.
+/// Returns the path of that newest chain (one base plus three records).
+std::string five_generations(const std::string& dir) {
+  DurableRing ring(dir);
+  ring.reset();
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) save_generation(ring, seq);
+  const std::string newest = ring.slot_path(newest_slot(ring));
+  const auto chain = fault::read_checkpoint_file(newest);
+  EXPECT_EQ(chain.checkpoint.seq, 5U);
+  EXPECT_EQ(chain.records, 3U);
+  return newest;
+}
+
+/// Words of the base at the head of the chain file `bytes`.
+std::size_t base_words(const std::vector<char>& bytes) {
+  std::vector<std::uint64_t> w(bytes.size() / sizeof(std::uint64_t));
+  std::memcpy(w.data(), bytes.data(), w.size() * sizeof(std::uint64_t));
+  std::size_t at = 5 + (w[4] + 7) / 8;  // header words and scope
+  const std::uint64_t sections = w[at++];
+  std::uint64_t payload = 0;
+  for (std::uint64_t i = 0; i < sections; ++i) {
+    at += 1 + (w[at] + 7) / 8;  // name
+    payload += w[at];
+    at += 2;  // word count, digest
+  }
+  return at + payload + 1;  // payloads, trailer
+}
+
 // ------------------------------------------------------------ file format
 
 TEST(DurableCheckpoint, FileRoundTripIsBitExact) {
@@ -111,50 +190,107 @@ TEST(DurableCheckpoint, FileRoundTripIsBitExact) {
   const std::size_t words = fault::write_checkpoint_file(path, c);
   EXPECT_GT(words, 0U);
   EXPECT_EQ(std::filesystem::file_size(path), words * sizeof(std::uint64_t));
-  const DurableCheckpoint back = fault::read_checkpoint_file(path);
-  EXPECT_TRUE(same_checkpoint(c, back));
+  const auto back = fault::read_checkpoint_file(path);
+  EXPECT_TRUE(same_checkpoint(c, back.checkpoint));
+  EXPECT_FALSE(back.fallback);
+  EXPECT_EQ(back.records, 0U);
+}
+
+TEST(DurableCheckpoint, ChainReplaysEveryRecordBitExactly) {
+  // The ring's records against the previous generation rebuild every
+  // generation exactly, dirty ranges and whole sections alike.
+  TempDir td;
+  DurableRing ring(td.path + "/ck");
+  ring.reset();
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+    const std::size_t words = save_generation(ring, seq);
+    const auto chain = fault::read_checkpoint_file(
+        ring.slot_path(newest_slot(ring)));
+    EXPECT_TRUE(same_checkpoint(chain.checkpoint, generation(seq)))
+        << "generation " << seq;
+    EXPECT_FALSE(chain.fallback);
+    // Generations 1 and 2 are bases; 3-5 are records, far smaller.
+    EXPECT_EQ(chain.records, seq <= 2 ? 0U : seq - 2);
+    if (seq > 2) EXPECT_LT(words, 64U) << "generation " << seq;
+  }
 }
 
 TEST(DurableCheckpoint, EverySingleBitFlipIsDetected) {
-  // The corruption-safety property at file granularity: flip one bit at
-  // EVERY byte position of a valid file — the reader must throw the typed
-  // error for all of them (header, scope, section table, payloads, and the
-  // trailer itself included).
+  // The corruption-safety property at file granularity, over a chain of
+  // one base plus three records: flip one bit at EVERY byte position. A
+  // flip in the base must throw the typed error; a flip in a record must
+  // end the chain before it, flagged, and load the strictly older
+  // generation bit-identically. The damaged generation never loads.
   TempDir td;
-  const std::string path = td.path + "/ck.mpcg";
+  const std::string path = five_generations(td.path + "/ck");
   const std::string mut = td.path + "/mut.mpcg";
-  fault::write_checkpoint_file(path, sample_checkpoint());
   const std::vector<char> good = slurp(path);
-  ASSERT_FALSE(good.empty());
+  const std::size_t base_bytes = base_words(good) * sizeof(std::uint64_t);
+  ASSERT_LT(base_bytes, good.size());
   for (std::size_t i = 0; i < good.size(); ++i) {
     std::vector<char> bad = good;
     bad[i] = static_cast<char>(bad[i] ^ (1 << (i % 8)));
     spit(mut, bad);
-    EXPECT_THROW((void)fault::read_checkpoint_file(mut), CheckpointError)
-        << "flip at byte " << i << " was not detected";
+    if (i < base_bytes) {
+      EXPECT_THROW((void)fault::read_checkpoint_file(mut), CheckpointError)
+          << "flip at byte " << i << " was not detected";
+      continue;
+    }
+    const auto loaded = fault::read_checkpoint_file(mut);
+    EXPECT_TRUE(loaded.fallback) << "flip at byte " << i;
+    EXPECT_LT(loaded.checkpoint.seq, 5U) << "flip at byte " << i;
+    EXPECT_TRUE(same_checkpoint(loaded.checkpoint,
+                                generation(loaded.checkpoint.seq)))
+        << "flip at byte " << i;
   }
 }
 
 TEST(DurableCheckpoint, TruncationAtEveryBoundaryIsDetected) {
-  // Truncate at every word boundary (including the empty file) and at one
-  // intra-word byte offset: all must throw, none may parse.
+  // Truncate a chain of one base plus three records at every word
+  // boundary (including the empty file) and at a ragged offset inside
+  // every word. A cut inside the base must throw — bases are published by
+  // rename, so a short one is rot, not a torn write. A cut after the base
+  // is a kill mid-append: the chain loads its complete records, unflagged,
+  // and a cut inside the last record loads the one before it.
   TempDir td;
-  const std::string path = td.path + "/ck.mpcg";
+  const std::string path = five_generations(td.path + "/ck");
   const std::string mut = td.path + "/mut.mpcg";
-  fault::write_checkpoint_file(path, sample_checkpoint());
   const std::vector<char> good = slurp(path);
-  const std::size_t words = good.size() / sizeof(std::uint64_t);
-  for (std::size_t k = 0; k < words; ++k) {
-    std::vector<char> bad(good.begin(),
-                          good.begin() + static_cast<std::ptrdiff_t>(
-                                             k * sizeof(std::uint64_t)));
-    spit(mut, bad);
-    EXPECT_THROW((void)fault::read_checkpoint_file(mut), CheckpointError)
-        << "truncation to " << k << " words was not detected";
+  const std::size_t word = sizeof(std::uint64_t);
+  const std::size_t base = base_words(good);
+  // Record ends (in words), from the chain's own length fields.
+  std::vector<std::size_t> ends;
+  {
+    std::vector<std::uint64_t> w(good.size() / word);
+    std::memcpy(w.data(), good.data(), good.size());
+    for (std::size_t at = base; at < w.size(); at += w[at + 3]) {
+      ends.push_back(at + w[at + 3]);
+    }
+    ASSERT_EQ(ends.size(), 3U);
+    ASSERT_EQ(ends.back(), w.size());
   }
-  std::vector<char> ragged(good.begin(), good.end() - 3);
-  spit(mut, ragged);
-  EXPECT_THROW((void)fault::read_checkpoint_file(mut), CheckpointError);
+  for (std::size_t bytes = 0; bytes < good.size(); ++bytes) {
+    if (bytes % word != 0 && bytes % word != 3) continue;
+    spit(mut, std::vector<char>(good.begin(),
+                                good.begin() +
+                                    static_cast<std::ptrdiff_t>(bytes)));
+    if (bytes < base * word) {
+      EXPECT_THROW((void)fault::read_checkpoint_file(mut), CheckpointError)
+          << "truncation to " << bytes << " bytes was not detected";
+      continue;
+    }
+    std::uint64_t complete = 0;
+    while (complete < ends.size() && ends[complete] * word <= bytes) {
+      ++complete;
+    }
+    const auto loaded = fault::read_checkpoint_file(mut);
+    EXPECT_FALSE(loaded.fallback) << "truncation to " << bytes << " bytes";
+    EXPECT_EQ(loaded.records, complete);
+    EXPECT_EQ(loaded.checkpoint.seq, 2U + complete);
+    EXPECT_TRUE(same_checkpoint(loaded.checkpoint,
+                                generation(loaded.checkpoint.seq)))
+        << "truncation to " << bytes << " bytes";
+  }
 }
 
 TEST(DurableCheckpoint, StaleVersionIsRejectedEvenWithValidTrailer) {
@@ -167,7 +303,7 @@ TEST(DurableCheckpoint, StaleVersionIsRejectedEvenWithValidTrailer) {
   const std::size_t words = bytes.size() / sizeof(std::uint64_t);
   std::vector<std::uint64_t> w(words);
   std::memcpy(w.data(), bytes.data(), bytes.size());
-  w[1] += 1;  // version word
+  w[1] -= 1;  // version word
   w[words - 1] =
       Fnv::digest(std::span<const std::uint64_t>(w.data(), words - 1));
   std::memcpy(bytes.data(), w.data(), bytes.size());
@@ -176,7 +312,9 @@ TEST(DurableCheckpoint, StaleVersionIsRejectedEvenWithValidTrailer) {
     (void)fault::read_checkpoint_file(path);
     FAIL() << "stale version was accepted";
   } catch (const CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 3 "
+                                         "(want 4)"),
+              std::string::npos)
         << e.what();
   }
 }
@@ -186,38 +324,31 @@ TEST(DurableCheckpoint, StaleVersionIsRejectedEvenWithValidTrailer) {
 TEST(DurableRing, ScopeMismatchIsACleanFreshStart) {
   TempDir td;
   DurableRing ring(td.path + "/ck");
-  ring.save(1, "scope-a", {{"s", {1, 2, 3}}});
+  std::vector<DurableSection> sections = {{"s", {1, 2, 3}}};
+  ring.save(1, "scope-a", sections);
   EXPECT_FALSE(ring.load("scope-b").has_value());
   EXPECT_TRUE(ring.load("scope-a").has_value());
 }
 
 TEST(DurableRing, EmptyDirectoryLoadsNothing) {
   TempDir td;
-  const DurableRing ring(td.path + "/ck");
+  DurableRing ring(td.path + "/ck");
   EXPECT_FALSE(ring.load("any").has_value());
 }
 
 TEST(DurableRing, NewestRotFallsBackForEveryBytePosition) {
-  // The ring-level corruption-safety property: with two generations on
-  // disk, flip one bit at EVERY byte position of the newest slot file —
-  // every load must come back as the older generation with the fallback
-  // flag set, bit-identical to what round 1 saved. No flip may surface
-  // round-2 data or escape unflagged.
+  // The ring-level corruption-safety property: with a base of generation 1
+  // in one slot and a chain of 2's base plus records 3-5 in the other,
+  // flip one bit at EVERY byte position of the newest chain — every load
+  // must come back as a strictly older generation with the fallback flag
+  // set, bit-identical to what was saved: generation 1 for a flip in the
+  // base, the record before the flipped one otherwise. No flip may surface
+  // the damaged generation or escape unflagged.
   TempDir td;
+  const std::string newest = five_generations(td.path + "/ck");
   DurableRing ring(td.path + "/ck");
-  const std::vector<std::uint64_t> old_payload = {10, 20, 30};
-  ring.save(1, "s", {{"p", old_payload}});
-  ring.save(2, "s", {{"p", {40, 50, 60, 70}}});
-
-  // Identify the newest slot by round tag.
-  std::string newest;
-  for (std::size_t slot = 0; slot < DurableRing::kSlots; ++slot) {
-    const auto c = fault::read_checkpoint_file(ring.slot_path(slot));
-    if (c.round == 2) newest = ring.slot_path(slot);
-  }
-  ASSERT_FALSE(newest.empty());
   const std::vector<char> good = slurp(newest);
-  ASSERT_FALSE(good.empty());
+  const std::size_t base_bytes = base_words(good) * sizeof(std::uint64_t);
 
   for (std::size_t i = 0; i < good.size(); ++i) {
     std::vector<char> bad = good;
@@ -226,23 +357,114 @@ TEST(DurableRing, NewestRotFallsBackForEveryBytePosition) {
     const auto loaded = ring.load("s");
     ASSERT_TRUE(loaded.has_value()) << "flip at byte " << i;
     EXPECT_TRUE(loaded->fallback) << "flip at byte " << i;
-    EXPECT_EQ(loaded->checkpoint.round, 2U - 1U) << "flip at byte " << i;
-    ASSERT_EQ(loaded->checkpoint.sections.size(), 1U);
-    EXPECT_EQ(loaded->checkpoint.sections[0].payload, old_payload)
+    const std::uint64_t seq = loaded->checkpoint.seq;
+    EXPECT_LT(seq, 5U) << "flip at byte " << i;
+    if (i < base_bytes) EXPECT_EQ(seq, 1U) << "flip at byte " << i;
+    EXPECT_TRUE(same_checkpoint(loaded->checkpoint, generation(seq)))
         << "flip at byte " << i;
   }
   spit(newest, good);  // restore
   const auto clean = ring.load("s");
   ASSERT_TRUE(clean.has_value());
   EXPECT_FALSE(clean->fallback);
-  EXPECT_EQ(clean->checkpoint.round, 2U);
+  EXPECT_EQ(clean->records, 3U);
+  EXPECT_TRUE(same_checkpoint(clean->checkpoint, generation(5)));
+}
+
+TEST(DurableRing, RollsOverToANewBaseInTheOtherSlot) {
+  // Once the newest chain's log would outgrow its base, the next
+  // generation is a new base in the other slot, replacing the older chain
+  // (temp file + rename); the chain it rolled over from stays behind it as
+  // the verified fallback.
+  TempDir td;
+  DurableRing ring(td.path + "/ck");
+  ring.reset();
+  std::uint64_t seq = 1;
+  std::optional<std::size_t> found;
+  for (; seq <= 40 && !found; ++seq) {
+    const std::size_t before = newest_slot(ring);
+    save_generation(ring, seq);
+    const std::size_t after = newest_slot(ring);
+    if (seq > 2 && after != before) found = after;
+  }
+  ASSERT_TRUE(found.has_value()) << "the chain never rolled over";
+  const std::size_t rolled = *found;
+  const std::uint64_t base_seq = seq - 1;
+  EXPECT_GT(base_seq, 5U);
+  const auto fresh = fault::read_checkpoint_file(ring.slot_path(rolled));
+  EXPECT_EQ(fresh.records, 0U);
+  EXPECT_TRUE(same_checkpoint(fresh.checkpoint, generation(base_seq)));
+  const auto behind = fault::read_checkpoint_file(ring.slot_path(1 - rolled));
+  EXPECT_EQ(behind.records, base_seq - 3);  // 3 .. base_seq-1
+  EXPECT_TRUE(same_checkpoint(behind.checkpoint, generation(base_seq - 1)));
+  EXPECT_FALSE(std::filesystem::exists(ring.slot_path(rolled) + ".tmp"));
+
+  // The new chain grows by records again.
+  save_generation(ring, base_seq + 1);
+  const auto grown = fault::read_checkpoint_file(ring.slot_path(rolled));
+  EXPECT_EQ(grown.records, 1U);
+  EXPECT_TRUE(same_checkpoint(grown.checkpoint, generation(base_seq + 1)));
+
+  // Rot in the new base falls back to the end of the older chain.
+  std::vector<char> bytes = slurp(ring.slot_path(rolled));
+  bytes[40] = static_cast<char>(bytes[40] ^ 0x04);
+  spit(ring.slot_path(rolled), bytes);
+  const auto loaded = ring.load("s");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_TRUE(loaded->fallback);
+  EXPECT_TRUE(same_checkpoint(loaded->checkpoint, generation(base_seq - 1)));
+}
+
+TEST(DurableRing, ResumeWritesItsFirstGenerationAsABaseInTheOtherSlot) {
+  // A ring never appends to a chain another process wrote: after loading,
+  // its next generation is a base in the slot that does not hold the
+  // loaded one, with a strictly larger seq — also when the loaded chain
+  // ended in a record torn by a kill mid-append, or in a rotted one. The
+  // rotted record counts a fallback at that load only: once a newer
+  // generation is on disk, the cut chain behind it has lost nothing newer.
+  enum class Tail { kIntact, kTorn, kRotted };
+  for (const Tail tail : {Tail::kIntact, Tail::kTorn, Tail::kRotted}) {
+    SCOPED_TRACE("tail " + std::to_string(static_cast<int>(tail)));
+    TempDir td;
+    const std::string dir = td.path + "/ck";
+    const std::string newest = five_generations(dir);
+    std::vector<char> bytes = slurp(newest);
+    if (tail == Tail::kTorn) bytes.resize(bytes.size() - 12);
+    if (tail == Tail::kRotted) bytes[bytes.size() - 12] ^= 0x10;
+    spit(newest, bytes);
+    const std::uint64_t want = tail == Tail::kIntact ? 5 : 4;
+    DurableRing resumed(dir);
+    const auto loaded = resumed.load("s");
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->fallback, tail == Tail::kRotted);
+    EXPECT_TRUE(same_checkpoint(loaded->checkpoint, generation(want)));
+
+    const std::size_t loaded_slot = newest_slot(resumed);
+    save_generation(resumed, want + 1);
+    const std::string other = resumed.slot_path(1 - loaded_slot);
+    const auto base = fault::read_checkpoint_file(other);
+    EXPECT_EQ(base.records, 0U);
+    EXPECT_TRUE(same_checkpoint(base.checkpoint, generation(want + 1)));
+    // The loaded chain is left exactly as it was.
+    EXPECT_EQ(slurp(newest), bytes);
+
+    // A fresh load returns the newer generation, unflagged; the ring then
+    // extends its own chain by records.
+    DurableRing again(dir);
+    const auto reloaded = again.load("s");
+    ASSERT_TRUE(reloaded.has_value());
+    EXPECT_FALSE(reloaded->fallback);
+    EXPECT_TRUE(same_checkpoint(reloaded->checkpoint, generation(want + 1)));
+    save_generation(resumed, want + 2);
+    EXPECT_EQ(fault::read_checkpoint_file(other).records, 1U);
+  }
 }
 
 TEST(DurableRing, AllSlotsRottenThrowsAggregateError) {
   TempDir td;
   DurableRing ring(td.path + "/ck");
-  ring.save(1, "s", {{"p", {1, 2, 3}}});
-  ring.save(2, "s", {{"p", {4, 5, 6}}});
+  save_generation(ring, 1);
+  save_generation(ring, 2);
   for (std::size_t slot = 0; slot < DurableRing::kSlots; ++slot) {
     std::vector<char> bytes = slurp(ring.slot_path(slot));
     bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 1);
@@ -262,7 +484,7 @@ TEST(DurableRing, ResetDropsStaleFiles) {
   TempDir td;
   {
     DurableRing ring(td.path + "/ck");
-    ring.save(1, "s", {{"p", {1}}});
+    save_generation(ring, 1);
   }
   DurableRing ring(td.path + "/ck");
   ring.reset();
@@ -272,6 +494,9 @@ TEST(DurableRing, ResetDropsStaleFiles) {
 // ----------------------------------------------- driver stop/resume seams
 
 TEST(DurableResume, MatchingStopsAndResumesBitIdentically) {
+  // Stop 1 resumes from a lone base, stop 2 from the second slot's base,
+  // and stop 6 from a chain that ends in records (the resumed process
+  // writes its first generation as a base in the other slot).
   const Graph g = make_family("gnp_sparse", 1500, 5);
   MatchingMpcOptions opt;
   opt.seed = 5;
@@ -286,6 +511,13 @@ TEST(DurableResume, MatchingStopsAndResumesBitIdentically) {
       (void)matching_mpc(g, d);
     } catch (const ResumableInterrupt&) {
       stopped = true;
+    }
+    if (stop_after == 6) {
+      const DurableRing ring(td.path + "/ck");
+      const auto chain =
+          fault::read_checkpoint_file(ring.slot_path(newest_slot(ring)));
+      EXPECT_EQ(chain.checkpoint.seq, 6U);
+      EXPECT_GE(chain.records, 2U);
     }
     MatchingMpcOptions r = opt;
     r.durable.dir = td.path + "/ck";
@@ -476,18 +708,8 @@ TEST(DurableResume, ResumeFallsBackPastARottedOnDiskGeneration) {
   }
   ASSERT_TRUE(stopped) << "run finished before 5 safe points; shrink n";
   const DurableRing ring(td.path + "/ck");
-  std::string newest;
-  std::uint64_t best_seq = 0;
-  for (std::size_t slot = 0; slot < DurableRing::kSlots; ++slot) {
-    std::error_code ec;
-    if (!std::filesystem::exists(ring.slot_path(slot), ec)) continue;
-    const auto c = fault::read_checkpoint_file(ring.slot_path(slot));
-    if (c.seq > best_seq) {
-      best_seq = c.seq;
-      newest = ring.slot_path(slot);
-    }
-  }
-  ASSERT_FALSE(newest.empty());
+  const std::string newest = ring.slot_path(newest_slot(ring));
+  ASSERT_TRUE(std::filesystem::exists(newest));
   std::vector<char> bytes = slurp(newest);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
   spit(newest, bytes);
